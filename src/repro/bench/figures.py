@@ -65,83 +65,31 @@ def _dim_range(max_dim: int) -> list[int]:
 
 
 def figure8(scale: str | Scale = "default") -> FigureResult:
-    """Figure 8: runtime vs dimensionality on the NBA-like dataset.
-
-    Besides the paper's Stellar-vs-Skyey contrast, every point also runs
-    Stellar under ``engine="columnar"`` (the packed-bitset skyline path;
-    see docs/COLUMNAR.md) and asserts its groups are bit-identical to the
-    rows engine's before recording the timing -- the ledger's
-    ``stellar_columnar_total_s`` vs ``stellar_total_s`` is the columnar
-    speedup, and it is only ever recorded for verified-equal outputs.
-    """
+    """Figure 8: runtime vs dimensionality on the NBA-like dataset."""
     sc = _resolve(scale)
     nba = generate_nba_like(n_players=sc.nba_players, seed=_SEED)
     stellar_runner = BudgetedRunner(sc.time_budget)
-    columnar_runner = BudgetedRunner(sc.time_budget)
     skyey_runner = BudgetedRunner(sc.time_budget)
     rows: list[list[object]] = []
     for d in _dim_range(min(sc.nba_max_dim, nba.n_dims)):
         data = nba.prefix_dims(d)
-        p_stellar = stellar_runner.run(
-            d, "stellar", lambda: stellar(data, engine="rows")
-        )
-        p_columnar = columnar_runner.run(
-            d, "stellar-columnar", lambda: stellar(data, engine="columnar")
-        )
-        if p_stellar.result is not None and p_columnar.result is not None:
-            rows_groups = [
-                g.signature(data) for g in p_stellar.result.groups
-            ]
-            col_groups = [
-                g.signature(data) for g in p_columnar.result.groups
-            ]
-            if rows_groups != col_groups:
-                raise RuntimeError(
-                    f"engine divergence at d={d}: rows and columnar "
-                    f"produced different skyline groups "
-                    f"({len(rows_groups)} vs {len(col_groups)})"
-                )
+        p_stellar = stellar_runner.run(d, "stellar", lambda: stellar(data))
         p_skyey = skyey_runner.run(d, "skyey", lambda: skyey(data))
         speedup = (
             p_skyey.seconds / p_stellar.seconds
             if p_skyey.seconds and p_stellar.seconds
             else None
         )
-        col_speedup = (
-            p_stellar.seconds / p_columnar.seconds
-            if p_stellar.seconds and p_columnar.seconds
-            else None
-        )
-        rows.append(
-            [
-                d,
-                p_stellar.seconds,
-                p_columnar.seconds,
-                p_skyey.seconds,
-                speedup,
-                col_speedup,
-            ]
-        )
+        rows.append([d, p_stellar.seconds, p_skyey.seconds, speedup])
     return FigureResult(
         figure="Figure 8",
         title=f"Scalability w.r.t. dimensionality, NBA-like data "
         f"({sc.nba_players} players)",
-        headers=[
-            "d",
-            "stellar_s",
-            "stellar_columnar_s",
-            "skyey_s",
-            "skyey/stellar",
-            "stellar/columnar",
-        ],
+        headers=["d", "stellar_s", "skyey_s", "skyey/stellar"],
         rows=rows,
         notes=[
             "paper shape: Stellar is much faster than Skyey at every d, "
             "with the gap widening exponentially in d (log-scale plot)",
-            "stellar_columnar_s is the same computation under "
-            "engine=columnar (packed-bitset skyline kernel); outputs are "
-            "verified bit-identical to the rows engine at every point "
-            "before the timing is recorded",
             f"per-point budget {sc.time_budget:.0f}s; '-' = skipped after "
             "the budget was exceeded at a smaller d",
         ],

@@ -43,8 +43,7 @@ Every subcommand additionally accepts the observability flags
 ``--trace[=FILE]``, ``--metrics``, ``--profile``, ``--log-json[=LEVEL]``,
 ``--slowlog[=N]``, ``--flight[=N]``, and ``--progress[=MODE]`` (see
 docs/OBSERVABILITY.md) and the execution flags ``--parallel[=SPEC]``
-(see docs/PARALLEL.md) and ``--engine[=NAME]`` (rows or columnar; see
-docs/COLUMNAR.md).
+(see docs/PARALLEL.md).
 
 The flight recorder is always on (ring buffer only; dumped on crash or
 ``SIGUSR1``), and a resource heartbeat samples RSS/CPU once per second;
@@ -84,12 +83,6 @@ execution (accepted by every subcommand; see docs/PARALLEL.md):
                      process[:N]; bare --parallel means auto (size-based).
                      Overrides the REPRO_PARALLEL environment variable.
                      Outputs are bit-identical to serial runs.
-  --engine[=NAME]    kernel engine for the hot paths; NAME is rows (the
-                     reference row-at-a-time kernels, default) or columnar
-                     (int-encoded columns + packed bitmask kernels; see
-                     docs/COLUMNAR.md); bare --engine means columnar.
-                     Overrides the REPRO_ENGINE environment variable.
-                     Outputs are bit-identical across engines.
 """
 
 
@@ -167,16 +160,6 @@ def _obs_parent() -> argparse.ArgumentParser:
         help="parallel execution spec: a worker count, serial, auto[:N], "
         "thread[:N], or process[:N]; bare --parallel selects the backend "
         "by data size (see docs/PARALLEL.md)",
-    )
-    execution.add_argument(
-        "--engine",
-        nargs="?",
-        const="columnar",
-        default=None,
-        metavar="NAME",
-        help="kernel engine: rows (reference row-at-a-time, default) or "
-        "columnar (vectorized int columns + packed bitmasks); bare "
-        "--engine means columnar (see docs/COLUMNAR.md)",
     )
     return parent
 
@@ -1373,8 +1356,7 @@ def _run_observed(handler, args: argparse.Namespace) -> int:
     through the worker initializer, in parallel workers); ``--slowlog``
     sizes the slow-query log and dumps it on exit; ``--parallel`` installs
     the ambient parallel configuration every hot path resolves (overriding
-    ``REPRO_PARALLEL``); ``--engine`` installs the ambient kernel engine
-    the same way (overriding ``REPRO_ENGINE``).  Without any of the flags
+    ``REPRO_PARALLEL``).  Without any of the flags
     the handler runs untouched -- the disabled-mode fast path of
     :mod:`repro.obs` costs nothing.
     """
@@ -1391,19 +1373,6 @@ def _run_observed(handler, args: argparse.Namespace) -> int:
             # Re-enter without the flag so the observability wiring below
             # runs inside the ambient parallel configuration.
             args.parallel = None
-            return _run_observed(handler, args)
-
-    engine_spec: str | None = getattr(args, "engine", None)
-    if engine_spec is not None:
-        from .columnar.engine import parse_engine, use_engine
-
-        try:
-            engine = parse_engine(engine_spec)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        with use_engine(engine):
-            args.engine = None
             return _run_observed(handler, args)
 
     log_level: str | None = getattr(args, "log_json", None)

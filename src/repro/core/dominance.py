@@ -13,11 +13,6 @@ Cells are dimension bitmasks (see :mod:`repro.core.bitset`).  Rows are
 computed with one vectorised numpy comparison per seed and cached, which is
 what makes Stellar's "scan a row of the dominance matrix" step cheap even
 with thousands of seeds.
-
-Under ``engine="columnar"`` the row broadcasts run over the dense-rank
-int codes of :mod:`repro.columnar.encoding` instead of the float matrix;
-the encoding preserves ``<`` and ``==`` per column exactly, so every mask
-(and every comparison count) is bit-identical to the rows engine.
 """
 
 from __future__ import annotations
@@ -26,8 +21,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..columnar.encoding import encode_dataset
-from ..columnar.engine import resolve_engine
 from .bitset import full_mask
 from .types import Dataset
 
@@ -130,31 +123,16 @@ class PairwiseMatrices:
     indices:
         Global object indices the matrices range over (the seeds ``F(S)`` in
         Stellar).  Cells are addressed by *local* position within ``indices``.
-    engine:
-        ``"rows"`` (float submatrix, the reference) or ``"columnar"``
-        (dense-rank int codes); ``None`` defers to the ambient engine /
-        ``REPRO_ENGINE``.  Beyond 62 dimensions the columnar layout cannot
-        pack masks into int64 words and the rows path is used regardless.
 
     The class vectorises one full matrix row per call: computing
     ``dom[i, *]`` is a single ``(k, d)`` numpy comparison packed into ``k``
     bitmask integers, cached afterwards.
     """
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        indices: Sequence[int],
-        engine: str | None = None,
-    ):
+    def __init__(self, dataset: Dataset, indices: Sequence[int]):
         self.dataset = dataset
         self.indices: tuple[int, ...] = tuple(int(i) for i in indices)
-        self.engine = resolve_engine(engine)
-        if self.engine == "columnar" and dataset.n_dims <= 62:
-            codes = encode_dataset(dataset).codes
-            self._sub = codes[list(self.indices), :]
-        else:
-            self._sub = dataset.minimized[list(self.indices), :]
+        self._sub = dataset.minimized[list(self.indices), :]
         self._n_dims = dataset.n_dims
         self._full = full_mask(self._n_dims)
         # Bit weights for packing comparison outcomes into masks.  Use

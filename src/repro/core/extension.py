@@ -44,8 +44,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..columnar.encoding import encode_dataset
-from ..columnar.engine import resolve_engine
 from ..obs.progress import ProgressTask, tick
 from ..parallel import chunk_ranges, get_shared, map_shards, resolve_parallel
 from .bitset import is_subset
@@ -208,22 +206,13 @@ def extend_with_nonseeds(
     dataset: Dataset,
     matrices: PairwiseMatrices,
     seed_groups: list[SeedGroup],
-    engine: str | None = None,
 ) -> list[SkylineGroup]:
     """Fold the non-seed objects into the seed lattice (Theorem 5).
 
     Returns the complete set of skyline groups of the dataset, with members
     as global indices and projections in raw (user-facing) values.
-
-    ``engine="columnar"`` (or the ambient/env engine) runs the share/beat
-    broadcasts over the dense-rank int codes instead of floats; masks and
-    groups are bit-identical either way (the encoding preserves ``<`` and
-    ``==`` per column).  Falls back to rows beyond 62 dimensions.
     """
-    if resolve_engine(engine) == "columnar" and dataset.n_dims <= 62:
-        minimized = encode_dataset(dataset).codes
-    else:
-        minimized = dataset.minimized
+    minimized = dataset.minimized
     seed_set = set(matrices.indices)
     nonseeds = [i for i in range(dataset.n_objects) if i not in seed_set]
     ns_matrix = minimized[nonseeds, :] if nonseeds else minimized[:0, :]

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..columnar.engine import resolve_engine, use_engine
 from ..obs.progress import ProgressTask
 from ..obs.tracing import Span, SpanBackedTimings, Tracer, current_tracer
 from ..parallel import resolve_parallel, use_parallel
@@ -93,7 +92,6 @@ def stellar(
     skyline_algorithm: str = "auto",
     bind_duplicates: bool = False,
     parallel: object = None,
-    engine: str | None = None,
 ) -> StellarResult:
     """Compute the compressed skyline cube of ``dataset`` with Stellar.
 
@@ -121,15 +119,8 @@ def stellar(
         phase timing keys in :attr:`StellarResult.stats` are unchanged
         because phases are orchestrated in the calling process and only
         shard work moves to the pool.
-    engine:
-        Computation engine: ``"rows"`` (the reference float path) or
-        ``"columnar"`` (vectorized over dense-rank int codes; see
-        docs/COLUMNAR.md).  ``None`` defers to the ambient engine
-        installed by the CLI ``--engine`` flag or the ``REPRO_ENGINE``
-        environment variable.  The output is bit-identical either way.
     """
     config = resolve_parallel(parallel)
-    engine = resolve_engine(engine)
     tracer = current_tracer()
     if tracer is None:
         # Record phase spans even without ambient tracing: StellarStats
@@ -141,9 +132,8 @@ def stellar(
         n_objects=dataset.n_objects,
         n_dims=dataset.n_dims,
         parallel=config.describe(),
-        engine=engine,
     ) as root:
-        with use_parallel(config), use_engine(engine):
+        with use_parallel(config):
             if bind_duplicates and dataset.n_objects:
                 result = _stellar_bound(dataset, skyline_algorithm, tracer)
             else:

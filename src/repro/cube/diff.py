@@ -12,14 +12,13 @@ identity the maintenance WAL logs); groups are matched by their
 ``(member labels, subspace)`` key, the compressed cube's identity.  The
 per-subspace churn count for subspace ``A`` is the number of labels whose
 ``A``-skyline membership differs between the versions -- computed from the
-groups' decisive intervals (``C ⊆ A ⊆ B``), either with Python sets
-(``rows``) or one boolean membership matrix per cube (``columnar``); both
-engines are bit-identical, as everywhere else in this codebase.
+groups' decisive intervals (``C ⊆ A ⊆ B``) as per-label Python sets of
+subspace masks.  (A dense ``(labels, 2^d)`` boolean matrix would need
+~655 MB at 10k labels and :data:`MAX_CHURN_DIMS` dimensions.)
 
 Every diff carries a :class:`DiffPlan` (the EXPLAIN pattern of
-:mod:`repro.cube.query`): work counters, the engine that ran, and elapsed
-time, so ``repro diff --explain`` and the ``/v1/diff`` endpoint stay
-auditable.
+:mod:`repro.cube.query`): work counters and elapsed time, so
+``repro diff --explain`` and the ``/v1/diff`` endpoint stay auditable.
 """
 
 from __future__ import annotations
@@ -27,9 +26,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..columnar.engine import resolve_engine
 from ..core.types import Dataset
 from ..obs.metrics import registry
 from ..obs.tracing import span
@@ -81,9 +77,8 @@ class GroupDelta:
 
 @dataclass
 class DiffPlan:
-    """How one diff was computed: engine, work counters, elapsed time."""
+    """How one diff was computed: work counters, elapsed time."""
 
-    engine: str
     counters: dict[str, int] = field(
         default_factory=lambda: {name: 0 for name in DIFF_PLAN_COUNTERS}
     )
@@ -97,7 +92,6 @@ class DiffPlan:
     def to_dict(self) -> dict:
         """JSON-friendly representation (what ``/v1/diff`` embeds)."""
         return {
-            "engine": self.engine,
             "counters": dict(self.counters),
             "seconds": self.seconds,
             "detail": dict(self.detail),
@@ -108,7 +102,6 @@ class DiffPlan:
         c = self.counters
         lines = [
             "EXPLAIN cube.diff",
-            f"  engine:                {self.engine}",
             f"  groups:                {c['groups_old']} -> {c['groups_new']}"
             f"  (entered: {c['groups_entered']}, exited: {c['groups_exited']},"
             f" changed: {c['groups_changed']})",
@@ -248,9 +241,7 @@ def _group_masks(group) -> set[int]:
     return masks
 
 
-def _memberships_rows(
-    cube: CompressedSkylineCube, plan: DiffPlan
-) -> dict[str, set[int]]:
+def _memberships(cube: CompressedSkylineCube, plan: DiffPlan) -> dict[str, set[int]]:
     """label -> set of subspace masks where the label is a skyline member."""
     out: dict[str, set[int]] = {}
     for group in cube.groups:
@@ -259,22 +250,6 @@ def _memberships_rows(
         for m in group.members:
             out.setdefault(cube.dataset.labels[m], set()).update(masks)
     return out
-
-
-def _membership_matrix(
-    cube: CompressedSkylineCube,
-    label_index: dict[str, int],
-    n_dims: int,
-    plan: DiffPlan,
-) -> np.ndarray:
-    """Boolean ``(labels, 2^d)`` membership matrix, filled group-by-group."""
-    matrix = np.zeros((len(label_index), 1 << n_dims), dtype=bool)
-    for group in cube.groups:
-        masks = sorted(_group_masks(group))
-        plan.count("memberships_enumerated", len(masks) * len(group.members))
-        rows = [label_index[cube.dataset.labels[m]] for m in group.members]
-        matrix[np.ix_(rows, masks)] = True
-    return matrix
 
 
 def _check_comparable(old: Dataset, new: Dataset) -> None:
@@ -289,22 +264,18 @@ def diff_cubes(
     old: CompressedSkylineCube,
     new: CompressedSkylineCube,
     *,
-    engine: str | None = None,
     max_churn_dims: int = MAX_CHURN_DIMS,
 ) -> CubeDiff:
     """Diff two cubes over the same schema; see the module docstring.
 
-    ``engine`` selects the churn implementation (``rows``/``columnar``,
-    ``None`` defers to the ambient engine); results are identical either
-    way.  Churn is skipped -- not approximated -- beyond ``max_churn_dims``
+    Churn is skipped -- not approximated -- beyond ``max_churn_dims``
     dimensions.
     """
     _check_comparable(old.dataset, new.dataset)
-    chosen = resolve_engine(engine)
     n_dims = old.dataset.n_dims
-    plan = DiffPlan(engine=chosen)
+    plan = DiffPlan()
     t0 = time.perf_counter()
-    with span("cube.diff", engine=chosen):
+    with span("cube.diff"):
         old_groups = {_group_key(old, g): g for g in old.groups}
         new_groups = {_group_key(new, g): g for g in new.groups}
         plan.count("groups_old", len(old_groups))
@@ -354,23 +325,12 @@ def diff_cubes(
             plan.count("subspaces_scanned", (1 << n_dims) - 1)
             union = sorted(old_present | new_present)
             plan.count("labels_compared", len(union))
-            if chosen == "columnar":
-                index = {label: i for i, label in enumerate(union)}
-                m_old = _membership_matrix(old, index, n_dims, plan)
-                m_new = _membership_matrix(new, index, n_dims, plan)
-                counts = np.logical_xor(m_old, m_new).sum(axis=0)
-                churn = {
-                    int(mask): int(count)
-                    for mask, count in enumerate(counts)
-                    if count
-                }
-            else:
-                by_old = _memberships_rows(old, plan)
-                by_new = _memberships_rows(new, plan)
-                for label in union:
-                    flips = by_old.get(label, set()) ^ by_new.get(label, set())
-                    for mask in flips:
-                        churn[mask] = churn.get(mask, 0) + 1
+            by_old = _memberships(old, plan)
+            by_new = _memberships(new, plan)
+            for label in union:
+                flips = by_old.get(label, set()) ^ by_new.get(label, set())
+                for mask in flips:
+                    churn[mask] = churn.get(mask, 0) + 1
     plan.seconds = time.perf_counter() - t0
     for name, amount in plan.counters.items():
         if amount:

@@ -1027,11 +1027,23 @@ class CubeService:
         raise UnknownSnapshotError(f"no such endpoint: {method} {path}")
 
 
+#: Largest POST body the server reads.  The biggest bodies are CSV
+#: publishes; the CI smokes send ~12 KB (300 x 5), and 16 MiB still fits
+#: ~400k such rows.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+#: Socket read timeout per request, so a client that stalls mid-body
+#: cannot pin a handler thread.
+READ_TIMEOUT_S = 30.0
+
+
 class _ServeHandler(BaseHTTPRequestHandler):
     """JSON-over-HTTP façade; one instance per request (stdlib behavior)."""
 
     service: CubeService  # injected via type() in start_server
     server_version = "repro-serve/1"
+    #: Applied to the connection by ``StreamRequestHandler.setup``; a read
+    #: that times out drops the connection without a response.
+    timeout = READ_TIMEOUT_S
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         parts = urlsplit(self.path)
@@ -1050,10 +1062,26 @@ class _ServeHandler(BaseHTTPRequestHandler):
         parts = urlsplit(self.path)
         try:
             length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:
+                raise ValueError(f"negative Content-Length: {length}")
+            if length > MAX_BODY_BYTES:
+                # The body stays unread, so the connection cannot be reused.
+                self.close_connection = True
+                self._reply_json(
+                    413,
+                    {
+                        "error": "payload_too_large",
+                        "detail": f"Content-Length {length} exceeds "
+                        f"{MAX_BODY_BYTES} bytes",
+                    },
+                    {},
+                )
+                return
             body = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(body, dict):
                 raise ValueError("request body must be a JSON object")
         except (ValueError, json.JSONDecodeError) as exc:
+            self.close_connection = True
             self._reply_json(
                 400, {"error": "bad_request", "detail": str(exc)}, {}
             )

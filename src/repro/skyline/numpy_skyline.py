@@ -1,8 +1,11 @@
-"""Vectorised skyline used at benchmark scale.
+"""Vectorised skyline used at benchmark scale: two kernels, picked by size.
 
-The algorithm is SFS (sort by the monotone coordinate sum, then one filtered
-scan), with the scan organised in *chunks*: each chunk of candidates is
-first filtered against the accepted-skyline window with one broadcast
+Up to :data:`BITSET_MAX_ROWS` objects the skyline is computed with
+:func:`skyline_bitset`, which replaces the per-candidate scan with
+``n^2/64`` packed word operations.  Above it the skyline is computed with
+SFS (sort by the monotone coordinate sum, then one filtered scan), with
+the scan organised in *chunks*: each chunk of candidates is first
+filtered against the accepted-skyline window with one broadcast
 comparison, and only the survivors go through the short serial pass that
 resolves intra-chunk dominance.  This keeps the Python interpreter out of
 the inner loop without changing the algorithm's comparison semantics.
@@ -13,27 +16,41 @@ and dominance is transitive, so being undominated by the accepted window
 plus the accepted members of one's own chunk is equivalent to being
 undominated outright.
 
-On correlated inputs (tiny skylines) this runs in near-linear time; on
-anti-correlated inputs (huge skylines) it degrades towards quadratic like
-every window algorithm -- exactly the cost profile the discussion of the
-paper's Figure 11(c) relies on.
+On correlated inputs (tiny skylines) the chunked scan runs in near-linear
+time; on anti-correlated inputs (huge skylines) it degrades towards
+quadratic like every window algorithm -- exactly the cost profile the
+discussion of the paper's Figure 11(c) relies on.  The skyline of a
+dataset is unique, so both kernels return the same indices; only the
+:data:`COMPARISONS` accounting differs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..columnar.engine import resolve_engine
 from ..core.dominance import COMPARISONS
 from .base import subspace_columns
 from .sfs import monotone_order
 
-__all__ = ["skyline_numpy", "chunked_sorted_skyline"]
+__all__ = [
+    "BITSET_MAX_ROWS",
+    "chunked_sorted_skyline",
+    "skyline_bitset",
+    "skyline_numpy",
+]
 
 #: Candidates filtered per broadcast; keeps the comparison blocks in cache.
 _CHUNK = 512
 #: Window rows compared per broadcast (bounds temporary memory).
 _WINDOW_BLOCK = 4096
+#: Largest input :func:`skyline_numpy` hands to :func:`skyline_bitset`.  The
+#: bitsets cost the same on every input of a size, the scan grows with the
+#: skyline.  Up to 2,000 rows the bitsets won on every distribution tried
+#: (2,000 x 6 anti-correlated: 8 ms vs 200 ms) but one (NBA-like 2,000 x 17:
+#: 15 ms vs 11 ms).  From 3,000 rows on, inputs with small skylines
+#: (correlated, NBA-like) favour the scan (correlated 10,000 x 6: 21 ms vs
+#: 245 ms), and at 50,000 x 4 the bitsets take 2.5 GiB.  (2 vCPU, numpy 2.4.)
+BITSET_MAX_ROWS = 2_000
 
 
 def chunked_sorted_skyline(ordered: np.ndarray, chunk: int = _CHUNK) -> list[int]:
@@ -74,29 +91,66 @@ def chunked_sorted_skyline(ordered: np.ndarray, chunk: int = _CHUNK) -> list[int
     return accepted
 
 
-def skyline_numpy(
-    minimized: np.ndarray,
-    subspace: int | None = None,
-    engine: str | None = None,
-) -> list[int]:
-    """Compute the skyline with the chunk-vectorised SFS strategy.
+def skyline_bitset(proj: np.ndarray) -> list[int]:
+    """Skyline of ``proj`` (smaller-is-better rows) via packed bitsets.
 
-    Under ``engine="columnar"`` (or the ambient engine; see
-    docs/COLUMNAR.md) the skyline is instead computed with the packed
-    uint64 dominance-bitset kernel
-    :func:`~repro.columnar.kernels.skyline_bitset`, which replaces the
-    per-candidate scan with ``n^2/64`` word operations.  The skyline of a
-    dataset is unique, so the returned indices are bit-identical either
-    way; only the :data:`COMPARISONS` accounting differs (the bitset
-    kernel always performs all ``n^2`` logical pair tests, the SFS scan
-    short-circuits).
+    For every dimension ``c`` build, per object ``o``, the packed uint64
+    bitset ``LE_c[o]`` of objects whose value on ``c`` is ``<=`` that of
+    ``o`` -- one stable argsort plus one prefix-OR along the sorted order
+    (tie runs share the prefix through the run's end).  ANDing the per-
+    dimension bitsets gives the objects that are no worse than ``o``
+    *everywhere*; removing those equal to ``o`` everywhere (the same
+    construction over equality runs) leaves exactly ``o``'s dominators.
+    ``o`` is a skyline object iff that bitset is empty.
+
+    :data:`COMPARISONS` is charged the full ``n^2`` logical pair tests the
+    bitsets encode.  Peak memory is a few ``(n, n/64)`` uint64 arrays,
+    0.5 MB apiece at :data:`BITSET_MAX_ROWS`.
+    """
+    n = int(proj.shape[0])
+    if n == 0:
+        return []
+    words = (n + 63) // 64
+    arange = np.arange(n)
+    obj_bits = np.zeros((n, words), dtype=np.uint64)
+    obj_bits[arange, arange // 64] = np.uint64(1) << (arange % 64).astype(
+        np.uint64
+    )
+    le_all = np.full((n, words), ~np.uint64(0))
+    eq_all = np.full((n, words), ~np.uint64(0))
+    for c in range(proj.shape[1]):
+        col = proj[:, c]
+        order = np.argsort(col, kind="stable")
+        svals = col[order]
+        prefix = np.bitwise_or.accumulate(obj_bits[order], axis=0)
+        # Last/first sorted position of each tie run, mapped per position.
+        run_last_pos = np.flatnonzero(np.append(svals[1:] != svals[:-1], True))
+        run_id = np.searchsorted(run_last_pos, arange, side="left")
+        run_last = run_last_pos[run_id]
+        run_first = np.concatenate(([0], run_last_pos[:-1] + 1))[run_id]
+        le_sorted = prefix[run_last]
+        eq_sorted = le_sorted.copy()
+        has_prev = run_first > 0
+        eq_sorted[has_prev] &= ~prefix[run_first[has_prev] - 1]
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[order] = arange
+        le_all &= le_sorted[inverse]
+        eq_all &= eq_sorted[inverse]
+    COMPARISONS.add(n * n)
+    dominated = (le_all & ~eq_all).any(axis=1)
+    return [int(i) for i in np.flatnonzero(~dominated)]
+
+
+def skyline_numpy(minimized: np.ndarray, subspace: int | None = None) -> list[int]:
+    """Skyline of ``minimized`` in ``subspace``, kernel picked by input size.
+
+    :func:`skyline_bitset` up to :data:`BITSET_MAX_ROWS` rows, the
+    chunk-vectorised SFS scan above that.
     """
     proj = subspace_columns(minimized, subspace)
     if proj.shape[0] == 0:
         return []
-    if resolve_engine(engine) == "columnar":
-        from ..columnar.kernels import skyline_bitset
-
+    if proj.shape[0] <= BITSET_MAX_ROWS:
         return skyline_bitset(proj)
     order = monotone_order(proj)
     positions = chunked_sorted_skyline(proj[order])

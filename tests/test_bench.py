@@ -80,18 +80,10 @@ class TestFigureRunners:
 
     def test_fig8_smoke_shape(self):
         result = run_figure("fig8", scale="smoke")
-        assert result.headers == [
-            "d",
-            "stellar_s",
-            "stellar_columnar_s",
-            "skyey_s",
-            "skyey/stellar",
-            "stellar/columnar",
-        ]
+        assert result.headers == ["d", "stellar_s", "skyey_s", "skyey/stellar"]
         assert [row[0] for row in result.rows] == list(range(1, 7))
-        # Neither Stellar engine is ever skipped at smoke scale
+        # Stellar is never skipped at smoke scale
         assert all(row[1] is not None for row in result.rows)
-        assert all(row[2] is not None for row in result.rows)
 
     def test_fig9_smoke_counts_monotone(self):
         result = run_figure("fig9", scale="smoke")

@@ -1,34 +1,29 @@
-"""Tests for the columnar vectorized engine (repro.columnar).
+"""Tests for the vectorized kernels, each checked against an oracle.
 
-The contract under test is docs/COLUMNAR.md's headline guarantee: every
-columnar kernel is **bit-identical** to the rows reference -- same skyline
-groups from :func:`~repro.core.stellar.stellar`, same query results *and*
-plan counters from :class:`~repro.cube.query.QueryEngine` -- with the
-seeded property-style suite covering ties, exact duplicate rows, and
-single-dimension subspaces.
+* :func:`~repro.skyline.numpy_skyline.skyline_numpy` and its packed-bitset
+  kernel against :func:`~repro.skyline.base.skyline_brute`, including the
+  size cutoff between its two kernels and the 64-bit word boundaries;
+* :class:`~repro.cube.query.GroupIndex` against :func:`scan_groups` below,
+  the per-group loop it replaced, on results *and* plan counters;
+* :func:`~repro.core.stellar.stellar` against the definitional oracle
+  (:func:`~repro.baselines.naive_cube.naive_compressed_cube`) on seeded
+  inputs with heavy ties, exact duplicate rows and a single dimension.
 """
 
 import numpy as np
 import pytest
 
-from repro.columnar import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    ENV_VAR,
-    active_engine,
-    encode_dataset,
-    pack_bitmap,
-    parse_engine,
-    resolve_engine,
-    skyline_bitset,
-    unpack_bitmap,
-    use_engine,
-)
+from repro.baselines import naive_compressed_cube
 from repro.core.stellar import stellar
 from repro.core.types import Dataset
 from repro.cube.compressed import CompressedSkylineCube
-from repro.cube.query import QueryEngine
+from repro.cube.query import QueryEngine, pack_bitmap, unpack_bitmap
 from repro.skyline.base import skyline_brute
+from repro.skyline.numpy_skyline import (
+    BITSET_MAX_ROWS,
+    skyline_bitset,
+    skyline_numpy,
+)
 
 
 def _random_dataset(rng, n=None, d=None, low_cardinality=True) -> Dataset:
@@ -40,83 +35,32 @@ def _random_dataset(rng, n=None, d=None, low_cardinality=True) -> Dataset:
     return Dataset.from_rows(values, names=tuple(f"c{i}" for i in range(d)))
 
 
-class TestEngineSelection:
-    def test_parse_defaults_and_known(self):
-        assert parse_engine(None) == DEFAULT_ENGINE
-        assert parse_engine("") == DEFAULT_ENGINE
-        assert parse_engine(" Columnar ") == "columnar"
-        assert parse_engine("rows") == "rows"
+def scan_groups(cube: CompressedSkylineCube, mask: int) -> tuple[list[int], dict]:
+    """Oracle for one Q1 scan: a Python loop over the groups, counted.
 
-    def test_parse_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            parse_engine("gpu")
-
-    def test_explicit_beats_ambient(self):
-        with use_engine("columnar"):
-            assert resolve_engine("rows") == "rows"
-            assert resolve_engine() == "columnar"
-
-    def test_ambient_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "columnar")
-        assert resolve_engine() == "columnar"
-        with use_engine("rows"):
-            assert resolve_engine() == "rows"
-        assert resolve_engine() == "columnar"
-
-    def test_env_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "quantum")
-        with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine()
-
-    def test_default_is_rows(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert active_engine() is None
-        assert resolve_engine() == "rows"
-        assert set(ENGINES) == {"rows", "columnar"}
-
-    def test_use_engine_nests_and_restores(self):
-        with use_engine("columnar"):
-            with use_engine("rows"):
-                assert active_engine() == "rows"
-            assert active_engine() == "columnar"
-        assert active_engine() is None
+    Mirrors :meth:`SkylineGroup.covers_subspace`: one ``interval_checks``
+    unit per decisive subspace actually tested, stopping at the first hit.
+    """
+    counters = {"groups_considered": 0, "groups_matched": 0, "interval_checks": 0}
+    members: set[int] = set()
+    for group in cube.groups:
+        counters["groups_considered"] += 1
+        if mask & ~group.subspace:
+            continue
+        for c in group.decisive:
+            counters["interval_checks"] += 1
+            if c & ~mask == 0:
+                members.update(group.members)
+                counters["groups_matched"] += 1
+                break
+    return sorted(members), counters
 
 
-class TestEncoding:
-    def test_codes_preserve_order_and_equality(self):
-        rng = np.random.default_rng(1)
-        data = _random_dataset(rng, n=30, d=3)
-        codes = encode_dataset(data).codes
-        minimized = data.minimized
-        for c in range(data.n_dims):
-            for i in range(data.n_objects):
-                for j in range(data.n_objects):
-                    assert (codes[i, c] < codes[j, c]) == (
-                        minimized[i, c] < minimized[j, c]
-                    )
-                    assert (codes[i, c] == codes[j, c]) == (
-                        minimized[i, c] == minimized[j, c]
-                    )
-
-    def test_cached_per_instance(self):
-        rng = np.random.default_rng(2)
-        data = _random_dataset(rng)
-        assert encode_dataset(data) is encode_dataset(data)
-
-    def test_cardinalities(self):
-        data = Dataset.from_rows(
-            [[1, 5], [1, 7], [2, 5]], names=("x", "y")
-        )
-        encoded = encode_dataset(data)
-        assert encoded.cardinalities == (2, 2)
-        assert encoded.n_objects == 3
-        assert encoded.n_dims == 2
-
-    def test_codes_read_only(self):
-        rng = np.random.default_rng(3)
-        encoded = encode_dataset(_random_dataset(rng))
-        with pytest.raises(ValueError):
-            encoded.codes[0, 0] = 99
+def _scan_counters(plan) -> dict:
+    return {
+        name: plan.counters[name]
+        for name in ("groups_considered", "groups_matched", "interval_checks")
+    }
 
 
 class TestBitmaps:
@@ -161,97 +105,120 @@ class TestSkylineBitset:
             assert skyline_bitset(m) == sorted(skyline_brute(m, None))
 
 
+class TestSkylineNumpy:
+    """Both kernels behind ``skyline_numpy`` agree with brute force."""
+
+    @pytest.mark.parametrize("n", [63, 64, 65])
+    def test_word_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.integers(0, 5, size=(n, 3)).astype(float)
+        for subspace in (None, 0b001, 0b101):
+            assert skyline_numpy(m, subspace) == skyline_brute(m, subspace)
+
+    @pytest.mark.parametrize("n", [BITSET_MAX_ROWS, BITSET_MAX_ROWS + 1])
+    def test_at_the_size_cutoff(self, n):
+        # A small value domain makes ties, duplicates and a non-trivial
+        # skyline certain on both sides of the cutoff.
+        rng = np.random.default_rng(n)
+        m = rng.integers(0, 40, size=(n, 3)).astype(float)
+        expected = skyline_brute(m, None)
+        assert len(expected) > 1
+        assert skyline_numpy(m) == expected
+
+    def test_subspace_projection(self):
+        rng = np.random.default_rng(11)
+        m = rng.integers(0, 4, size=(200, 4)).astype(float)
+        for subspace in range(1, 1 << 4):
+            assert skyline_numpy(m, subspace) == skyline_brute(m, subspace)
+
+
 def _group_fingerprints(dataset, groups):
-    return [
+    return sorted(
         (tuple(sorted(g.members)), g.subspace, g.decisive, g.projection)
         for g in groups
-    ]
+    )
+
+
+def _assert_matches_oracle(data: Dataset) -> None:
+    assert _group_fingerprints(data, stellar(data).groups) == _group_fingerprints(
+        data, naive_compressed_cube(data)
+    )
 
 
 class TestStellarEquivalence:
-    """Property-style: rows and columnar stellar are bit-identical."""
+    """Property-style: stellar equals the definitional oracle."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_datasets_with_ties(self, seed):
         rng = np.random.default_rng(seed)
         data = _random_dataset(rng)
-        rows = stellar(data, engine="rows")
-        columnar = stellar(data, engine="columnar")
-        assert _group_fingerprints(data, rows.groups) == _group_fingerprints(
-            data, columnar.groups
-        )
-        assert rows.seeds == columnar.seeds
+        _assert_matches_oracle(data)
+        assert stellar(data).seeds == skyline_brute(data.minimized, None)
 
     def test_duplicated_rows(self):
         rng = np.random.default_rng(99)
         base = rng.integers(0, 3, size=(10, 3)).astype(float)
         values = np.vstack([base, base[:4]])  # exact duplicates appended
-        data = Dataset.from_rows(values, names=("a", "b", "c"))
-        rows = stellar(data, engine="rows")
-        columnar = stellar(data, engine="columnar")
-        assert _group_fingerprints(data, rows.groups) == _group_fingerprints(
-            data, columnar.groups
-        )
+        _assert_matches_oracle(Dataset.from_rows(values, names=("a", "b", "c")))
 
     def test_single_dimension_dataset(self):
         data = Dataset.from_rows([[3.0], [1.0], [1.0], [2.0]], names=("x",))
-        rows = stellar(data, engine="rows")
-        columnar = stellar(data, engine="columnar")
-        assert _group_fingerprints(data, rows.groups) == _group_fingerprints(
-            data, columnar.groups
-        )
-
-    def test_ambient_engine_is_honoured(self, running_example):
-        reference = stellar(running_example, engine="rows")
-        with use_engine("columnar"):
-            ambient = stellar(running_example)
-        assert _group_fingerprints(
-            running_example, reference.groups
-        ) == _group_fingerprints(running_example, ambient.groups)
+        _assert_matches_oracle(data)
 
 
 class TestQueryEquivalence:
-    """Every query kind agrees across engines, plan counters included."""
+    """The GroupIndex scan agrees with the per-group loop, counters included."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_all_subspaces_results_and_counters(self, seed):
         rng = np.random.default_rng(100 + seed)
         data = _random_dataset(rng, d=int(rng.integers(1, 5)))
         cube = CompressedSkylineCube(data, stellar(data).groups)
-        rows_engine = QueryEngine(cube, engine="rows")
-        col_engine = QueryEngine(cube, engine="columnar")
+        engine = QueryEngine(cube)
         for mask in range(1, 1 << data.n_dims):
             name = data.format_subspace(mask)
-            rows_result = rows_engine.skyline(name)
-            rows_plan = dict(rows_engine.last_plan.counters)
-            col_result = col_engine.skyline(name)
-            col_plan = dict(col_engine.last_plan.counters)
-            assert rows_result == col_result, name
-            assert rows_plan == col_plan, name
+            members, counters = scan_groups(cube, mask)
+            assert engine.skyline(name) == [data.labels[i] for i in members]
+            assert _scan_counters(engine.last_plan) == counters, name
 
     def test_drill_down_and_roll_up(self, flight_routes):
         cube = CompressedSkylineCube.build(flight_routes)
-        rows_engine = QueryEngine(cube, engine="rows")
-        col_engine = QueryEngine(cube, engine="columnar")
-        for kind in ("drill_down", "roll_up"):
-            sub = "price,traveltime"
-            assert getattr(rows_engine, kind)(sub) == getattr(
-                col_engine, kind
-            )(sub)
-            assert rows_engine.last_plan.counters == col_engine.last_plan.counters
+        engine = QueryEngine(cube)
+        sub = "price,traveltime"
+        base = flight_routes.parse_subspace(sub)
+        neighbours = {
+            "drill_down": [base | 1 << d for d in range(3) if not base >> d & 1],
+            "roll_up": [base & ~(1 << d) for d in range(3) if base >> d & 1],
+        }
+        for kind, masks in neighbours.items():
+            expected = {}
+            totals = dict.fromkeys(
+                ("groups_considered", "groups_matched", "interval_checks"), 0
+            )
+            for mask in masks:
+                members, counters = scan_groups(cube, mask)
+                expected[flight_routes.format_subspace(mask)] = [
+                    flight_routes.labels[i] for i in members
+                ]
+                for name, value in counters.items():
+                    totals[name] += value
+            assert getattr(engine, kind)(sub) == expected
+            assert _scan_counters(engine.last_plan) == totals
 
     def test_shared_query_kinds_unaffected(self, flight_routes):
         cube = CompressedSkylineCube.build(flight_routes)
-        rows_engine = QueryEngine(cube, engine="rows")
-        col_engine = QueryEngine(cube, engine="columnar")
-        label = flight_routes.labels[0]
-        assert rows_engine.where_wins(label) == col_engine.where_wins(label)
-        assert rows_engine.wins_in(label, "price") == col_engine.wins_in(
-            label, "price"
-        )
-        assert rows_engine.top_frequent(3) == col_engine.top_frequent(3)
-
-    def test_engine_recorded_and_capped(self, flight_routes):
-        cube = CompressedSkylineCube.build(flight_routes)
-        assert QueryEngine(cube, engine="columnar").engine == "columnar"
-        assert QueryEngine(cube).engine == "rows"
+        engine = QueryEngine(cube)
+        n_dims = flight_routes.n_dims
+        for label in flight_routes.labels:
+            obj = flight_routes.labels.index(label)
+            won = {
+                mask
+                for mask in range(1, 1 << n_dims)
+                if obj in scan_groups(cube, mask)[0]
+            }
+            assert engine.where_wins(label) == [
+                flight_routes.format_subspace(m) for m in sorted(won)
+            ]
+            for mask in range(1, 1 << n_dims):
+                name = flight_routes.format_subspace(mask)
+                assert engine.wins_in(label, name) == (mask in won)

@@ -131,7 +131,7 @@ class TestValidation:
 
 
 class TestBinarySnapshot:
-    """The mmap binary snapshot format (docs/COLUMNAR.md)."""
+    """The mmap binary snapshot format (docs/SERVING.md)."""
 
     def _build(self, dataset):
         return CompressedSkylineCube.build(dataset)

@@ -16,6 +16,8 @@ from repro.core.validate import (
     decisive_subspaces_theorem4,
     is_maximal_cgroup,
 )
+from repro.cube import CompressedSkylineCube
+from repro.cube.query import QueryEngine
 from repro.skyline import compute_skyline, is_skyline_member
 
 
@@ -77,6 +79,41 @@ class TestBeyond62Dimensions:
             assert type(g.subspace) is int
             assert all(type(c) is int for c in g.decisive)
             assert g.subspace.bit_length() <= 70
+
+    #: Subspaces with bits above 2^62, plus the full space (= None).
+    WIDE_MASKS = (
+        1 << 69,
+        1 << 63 | 1 << 2,
+        1 << 62 | 1 << 65 | 1,
+        (1 << 70) - 1 - (1 << 40),
+        None,
+    )
+
+    def test_query_engine_past_62_dims(self, wide, wide_result):
+        engine = QueryEngine(CompressedSkylineCube(wide, wide_result.groups))
+
+        def brute(mask):
+            return [
+                wide.labels[i] for i in compute_skyline(wide, mask, algorithm="brute")
+            ]
+
+        for mask in self.WIDE_MASKS:
+            mask = wide.full_space if mask is None else mask
+            name = wide.format_subspace(mask)
+            assert engine.skyline(name) == brute(mask), name
+        for mask in self.WIDE_MASKS[:3]:
+            name = wide.format_subspace(mask)
+            drilled = engine.drill_down(name)
+            assert len(drilled) == 70 - bin(mask).count("1")
+            for d in range(70):
+                if not mask >> d & 1:
+                    bigger = mask | 1 << d
+                    assert drilled[wide.format_subspace(bigger)] == brute(bigger)
+            rolled = engine.roll_up(name)
+            for d in range(70):
+                smaller = mask & ~(1 << d)
+                if mask >> d & 1 and smaller:
+                    assert rolled[wide.format_subspace(smaller)] == brute(smaller)
 
     def test_ties_across_the_wide_space(self):
         """Two objects sharing 65 of 70 dimensions: the shared-subspace

@@ -9,6 +9,7 @@ while mutations and snapshot swaps land under load.
 """
 
 import json
+import socket
 import subprocess
 import sys
 import threading
@@ -556,6 +557,64 @@ class TestHTTPServer:
             with pytest.raises(HTTPError) as exc:
                 urllib.request.urlopen(request, timeout=10)
             assert exc.value.code == 400
+
+
+def raw_post(port, content_length, body=b""):
+    """POST over a bare socket with a hand-set Content-Length header."""
+    conn = socket.create_connection(("127.0.0.1", port), timeout=10)
+    conn.sendall(
+        b"POST /v1/maintenance/insert HTTP/1.1\r\n"
+        b"Host: localhost\r\n"
+        + f"Content-Length: {content_length}\r\n\r\n".encode()
+        + body
+    )
+    return conn
+
+
+def read_response(conn):
+    """Status code and JSON body of the response, read to EOF."""
+    chunks = []
+    while chunk := conn.recv(65536):
+        chunks.append(chunk)
+    conn.close()
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestHTTPBodyLimits:
+    def test_negative_content_length_rejected(self, published):
+        service = CubeService(published[0], reload_interval=0)
+        with start_server(service) as server:
+            status, body = read_response(raw_post(server.port, -1))
+        assert status == 400
+        assert body["error"] == "bad_request"
+        assert "negative Content-Length" in body["detail"]
+
+    def test_oversized_body_rejected_unread(self, published):
+        from repro.serve.app import MAX_BODY_BYTES
+
+        service = CubeService(published[0], reload_interval=0)
+        with start_server(service) as server:
+            # Only the headers are sent: a reply proves nothing was read.
+            status, body = read_response(raw_post(server.port, MAX_BODY_BYTES + 1))
+            assert status == 413
+            assert body["error"] == "payload_too_large"
+            # The server is still healthy afterwards.
+            assert http_get(f"{server.url}/healthz")[0] == 200
+
+    def test_stalled_body_times_out(self, published, monkeypatch):
+        from repro.serve.app import _ServeHandler
+
+        monkeypatch.setattr(_ServeHandler, "timeout", 0.3)
+        service = CubeService(published[0], reload_interval=0)
+        with start_server(service) as server:
+            conn = raw_post(server.port, 100, body=b'{"row": [1')
+            started = time.monotonic()
+            # The server drops the connection without a response.
+            assert conn.recv(65536) == b""
+            assert time.monotonic() - started < 5
+            conn.close()
+            assert http_get(f"{server.url}/healthz")[0] == 200
 
 
 class TestConcurrentServing:
