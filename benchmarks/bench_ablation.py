@@ -2,11 +2,9 @@
 
 Not a paper figure -- these quantify the library's own knobs:
 
-* which full-space skyline algorithm seeds Stellar (step 1 of Figure 7);
 * Skyey's shared sort keys vs per-subspace recomputation;
 * duplicate binding on duplicate-heavy data (the Section 5 preprocessing);
-* the standalone skyline algorithms across the three distributions (the
-  related-work substrate the paper cites in Section 3);
+* the registered skyline algorithms across the three distributions;
 * dominance-comparison counts per algorithm -- the hardware-independent
   cost metric of the skyline literature, recorded in each benchmark's
   ``extra_info`` (see ``--benchmark-json``) via
@@ -22,22 +20,6 @@ from repro.core.stellar import stellar
 from repro.core.types import Dataset
 from repro.data import make_dataset
 from repro.skyline import SKYLINE_ALGORITHMS
-
-SEED_ALGORITHMS = ("numpy", "sfs", "bnl", "dc", "less")
-
-
-@pytest.mark.parametrize("algorithm", SEED_ALGORITHMS)
-def test_stellar_seed_algorithm(benchmark, nba, algorithm):
-    data = nba.prefix_dims(8)
-    result = benchmark.pedantic(
-        stellar,
-        args=(data,),
-        kwargs={"skyline_algorithm": algorithm},
-        rounds=2,
-        iterations=1,
-    )
-    assert result.groups
-
 
 @pytest.mark.parametrize("shared", (True, False), ids=("shared", "recompute"))
 def test_skyey_sort_key_sharing(benchmark, nba, shared):
@@ -79,7 +61,7 @@ def test_duplicate_binding(benchmark, duplicate_heavy, bind):
 
 
 @pytest.mark.parametrize("dist", ("correlated", "independent", "anticorrelated"))
-@pytest.mark.parametrize("algorithm", ("numpy", "sfs", "bnl", "dc", "less", "bitmap"))
+@pytest.mark.parametrize("algorithm", ("numpy", "sfs"))
 def test_skyline_algorithm_by_distribution(benchmark, algorithm, dist):
     data = make_dataset(dist, 1_000, 4, seed=20070415)
     fn = SKYLINE_ALGORITHMS[algorithm]
@@ -90,7 +72,7 @@ def test_skyline_algorithm_by_distribution(benchmark, algorithm, dist):
 
 
 @pytest.mark.parametrize("dist", ("correlated", "independent", "anticorrelated"))
-@pytest.mark.parametrize("algorithm", ("brute", "numpy", "sfs", "bnl"))
+@pytest.mark.parametrize("algorithm", ("brute", "numpy", "sfs"))
 def test_skyline_comparison_counts(benchmark, algorithm, dist):
     """Pairwise-test counts per skyline algorithm and distribution.
 

@@ -5,8 +5,8 @@ queries, and this benchmark stages them head to head on the same workload:
 
 * **compressed cube** (this paper): Stellar materialises skyline groups
   once; a query is interval containment over the groups -- no data access;
-* **Subsky** (reference [13]): one B+-tree build; a query scans a prefix
-  of the key-ordered chain with early termination;
+* **Subsky** (reference [13]): one sort of the objects by key; a query
+  scans a prefix of the key order with early termination;
 * **raw skyline** (no precomputation): run SFS on the subspace per query.
 
 Build costs differ wildly (Stellar > Subsky > nothing), so the suite

@@ -265,7 +265,7 @@ def skyey(
         the ablation benchmark quantifies exactly that.
     parallel:
         Parallel-execution spec (see :mod:`repro.parallel`); ``None``
-        defers to the ambient configuration / ``REPRO_PARALLEL``.  The
+        defers to the process default (the CLI ``--parallel`` flag).  The
         per-subspace search then shards one root subtree per worker; the
         merged result is bit-identical to a serial run.
     """

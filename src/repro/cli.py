@@ -81,7 +81,7 @@ execution (accepted by every subcommand; see docs/PARALLEL.md):
   --parallel[=SPEC]  run the hot paths on a worker pool; SPEC is a worker
                      count (e.g. 4), serial, auto[:N], thread[:N], or
                      process[:N]; bare --parallel means auto (size-based).
-                     Overrides the REPRO_PARALLEL environment variable.
+                     Without the flag everything runs serially.
                      Outputs are bit-identical to serial runs.
 """
 
@@ -217,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sky.add_argument(
         "--algorithm",
         default="auto",
-        help="auto | brute | bnl | sfs | dc | less | bitmap | bbs | nn | numpy",
+        choices=["auto", "brute", "bnl", "sfs", "nn", "numpy"],
+        help="skyline algorithm (default auto: sfs below 128 rows, else numpy)",
     )
 
     p_cube = sub.add_parser(
@@ -810,12 +811,16 @@ def _with_telemetry(handler, args: argparse.Namespace) -> int:
     output unless the process crashes, receives ``SIGUSR1``, or ``--flight``
     was passed, which also dumps at exit), and a heartbeat thread samples
     process vitals (interval from ``REPRO_HEARTBEAT``; ``off`` disables).
-    ``--progress`` switches the stderr progress stream on.  An unhandled
-    exception propagates *past* this frame to the interpreter's top level,
-    where the installed excepthook writes the crash dump -- so nothing here
-    may swallow it.
+    ``--progress`` switches the stderr progress stream on.  ``--parallel``
+    installs the process default parallel configuration for the command
+    (plain global state, so the HTTP handler threads of ``serve`` see it
+    too) and restores the previous one when the command returns or raises.
+    An unhandled exception propagates *past* this frame to the
+    interpreter's top level, where the installed excepthook writes the
+    crash dump -- so nothing here may swallow it.
     """
     import os
+    from contextlib import nullcontext
 
     from .obs.flight import (
         DEFAULT_CAPACITY,
@@ -828,6 +833,16 @@ def _with_telemetry(handler, args: argparse.Namespace) -> int:
         start_heartbeat,
         stop_heartbeat,
     )
+    from .parallel import default_parallel, parse_parallel_spec
+
+    parallel_spec: str | None = getattr(args, "parallel", None)
+    parallel_default = nullcontext()
+    if parallel_spec is not None:
+        try:
+            parallel_default = default_parallel(parse_parallel_spec(parallel_spec))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     capacity = DEFAULT_CAPACITY
     flight_spec: str | None = getattr(args, "flight", None)
@@ -885,7 +900,8 @@ def _with_telemetry(handler, args: argparse.Namespace) -> int:
         start_heartbeat(interval)
 
     try:
-        return _run_observed(handler, args)
+        with parallel_default:
+            return _run_observed(handler, args)
     finally:
         stop_heartbeat()
         if progress_spec is not None:
@@ -893,13 +909,10 @@ def _with_telemetry(handler, args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import os
     import time
 
     from .cube import CompressedSkylineCube
     from .data import load_csv
-    from .parallel import ENV_VAR as PARALLEL_ENV
-    from .parallel import active_parallel
     from .serve import (
         AdmissionController,
         CubeService,
@@ -907,13 +920,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         SnapshotStore,
         start_server,
     )
-
-    ambient = active_parallel()
-    if ambient is not None:
-        # --parallel installs a ContextVar, which the HTTP server's fresh
-        # handler threads do not inherit; promote it to the process-global
-        # env override so every request resolves the same backend.
-        os.environ[PARALLEL_ENV] = ambient.describe()
 
     try:
         cache = ResultCache(
@@ -1354,27 +1360,10 @@ def _run_observed(handler, args: argparse.Namespace) -> int:
     (latency histograms, dominance-comparison totals) afterwards;
     ``--log-json`` switches structured JSON logging on process-wide (and,
     through the worker initializer, in parallel workers); ``--slowlog``
-    sizes the slow-query log and dumps it on exit; ``--parallel`` installs
-    the ambient parallel configuration every hot path resolves (overriding
-    ``REPRO_PARALLEL``).  Without any of the flags
-    the handler runs untouched -- the disabled-mode fast path of
+    sizes the slow-query log and dumps it on exit.  Without any of the
+    flags the handler runs untouched -- the disabled-mode fast path of
     :mod:`repro.obs` costs nothing.
     """
-    parallel_spec: str | None = getattr(args, "parallel", None)
-    if parallel_spec is not None:
-        from .parallel import parse_parallel_spec, use_parallel
-
-        try:
-            config = parse_parallel_spec(parallel_spec)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        with use_parallel(config):
-            # Re-enter without the flag so the observability wiring below
-            # runs inside the ambient parallel configuration.
-            args.parallel = None
-            return _run_observed(handler, args)
-
     log_level: str | None = getattr(args, "log_json", None)
     if log_level is not None:
         from .obs import configure_logging
@@ -1635,10 +1624,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench.ledger import append_entry, entry_from_result, ledger_path
     from .core.dominance import COMPARISONS
     from .obs.progress import ProgressTask
-    from .parallel import active_parallel
+    from .parallel import resolve_parallel
 
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]
-    config = active_parallel()
+    config = resolve_parallel()
     for name in names:
         comparisons_before = COMPARISONS.value
         # Points tick the ambient task as they finish (BudgetedRunner.run);
@@ -1653,8 +1642,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 figure=name,
                 scale=args.scale,
                 comparisons=COMPARISONS.value - comparisons_before,
-                parallel=config.backend if config else "serial",
-                workers=config.effective_workers if config else 1,
+                parallel=config.backend,
+                workers=config.effective_workers,
             )
             # Ledgers live next to the figure tables when --out is given,
             # else in the working directory (where the committed

@@ -158,6 +158,7 @@ def _batched_share_maps(
     seed_groups: list[SeedGroup],
     rep_globals: list[int],
     pow2: np.ndarray,
+    parallel: object,
 ) -> list[dict[int, int]]:
     """Share maps for every seed group, sharding non-seeds across workers.
 
@@ -179,7 +180,7 @@ def _batched_share_maps(
         dtype=pow2.dtype if pow2.dtype != object else object,
     )
     ns_ids = np.asarray(nonseeds, dtype=np.int64)
-    config = resolve_parallel()
+    config = resolve_parallel(parallel)
     workers = config.plan(m * n_groups, floor=_PARALLEL_FLOOR)
     if workers <= 1 or m < 2 * workers:
         return _share_maps_block(reps, subspaces, ns_matrix, ns_ids, pow2)
@@ -206,11 +207,14 @@ def extend_with_nonseeds(
     dataset: Dataset,
     matrices: PairwiseMatrices,
     seed_groups: list[SeedGroup],
+    parallel: object = None,
 ) -> list[SkylineGroup]:
     """Fold the non-seed objects into the seed lattice (Theorem 5).
 
     Returns the complete set of skyline groups of the dataset, with members
     as global indices and projections in raw (user-facing) values.
+    ``parallel`` is a parallel-execution spec; ``None`` defers to the
+    process default.
     """
     minimized = dataset.minimized
     seed_set = set(matrices.indices)
@@ -228,7 +232,7 @@ def extend_with_nonseeds(
         matrices.indices[sg.representative] for sg in seed_groups
     ]
     share_maps = _batched_share_maps(
-        minimized, nonseeds, ns_matrix, seed_groups, rep_globals, pow2
+        minimized, nonseeds, ns_matrix, seed_groups, rep_globals, pow2, parallel
     )
 
     for seed_group, rep_global, shares in zip(

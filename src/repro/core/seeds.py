@@ -80,6 +80,7 @@ def compute_seed_groups(
     dataset: Dataset,
     matrices: PairwiseMatrices,
     cgroups: list[tuple[tuple[int, ...], int]],
+    parallel: object = None,
 ) -> list[SeedGroup]:
     """Attach decisive subspaces to maximal c-groups, dropping non-groups.
 
@@ -91,6 +92,8 @@ def compute_seed_groups(
         Pairwise matrices over the seeds.
     cgroups:
         Output of :func:`repro.core.cgroups.enumerate_maximal_cgroups`.
+    parallel:
+        Parallel-execution spec; ``None`` defers to the process default.
 
     Returns
     -------
@@ -98,7 +101,7 @@ def compute_seed_groups(
     """
     seeds = matrices.indices
     k = len(seeds)
-    config = resolve_parallel()
+    config = resolve_parallel(parallel)
     workers = config.plan(len(cgroups) * max(k, 1), floor=_PARALLEL_FLOOR)
     if workers > 1 and len(cgroups) > 1:
         verdicts = _parallel_clause_verdicts(matrices, cgroups, config, workers)

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..obs.progress import ProgressTask
 from ..obs.tracing import Span, SpanBackedTimings, Tracer, current_tracer
-from ..parallel import resolve_parallel, use_parallel
+from ..parallel import ParallelConfig, resolve_parallel
 from ..skyline import compute_skyline
 from .cgroups import enumerate_maximal_cgroups
 from .dominance import COMPARISONS, PairwiseMatrices
@@ -89,7 +89,6 @@ class StellarResult:
 
 def stellar(
     dataset: Dataset,
-    skyline_algorithm: str = "auto",
     bind_duplicates: bool = False,
     parallel: object = None,
 ) -> StellarResult:
@@ -99,9 +98,6 @@ def stellar(
     ----------
     dataset:
         The input objects; preference directions are honoured.
-    skyline_algorithm:
-        Which full-space skyline algorithm seeds the computation
-        (see :data:`repro.skyline.SKYLINE_ALGORITHMS`).
     bind_duplicates:
         Apply the paper's duplicate-binding preprocessing (Section 5):
         objects identical on *every* dimension "can be bound together since
@@ -113,8 +109,9 @@ def stellar(
     parallel:
         Parallel-execution spec (``"process:4"``, a worker count, a
         :class:`~repro.parallel.ParallelConfig`; see docs/PARALLEL.md).
-        ``None`` defers to the ambient configuration installed by the CLI
-        ``--parallel`` flag or the ``REPRO_PARALLEL`` environment variable.
+        ``None`` defers to the process default, which is serial unless the
+        CLI ``--parallel`` flag set it.  The resolved configuration is passed
+        to every phase explicitly.
         The output is bit-identical to a serial run for every setting;
         phase timing keys in :attr:`StellarResult.stats` are unchanged
         because phases are orchestrated in the calling process and only
@@ -128,16 +125,14 @@ def stellar(
         tracer = Tracer()
     with tracer.span(
         "stellar",
-        algorithm=skyline_algorithm,
         n_objects=dataset.n_objects,
         n_dims=dataset.n_dims,
         parallel=config.describe(),
     ) as root:
-        with use_parallel(config):
-            if bind_duplicates and dataset.n_objects:
-                result = _stellar_bound(dataset, skyline_algorithm, tracer)
-            else:
-                result = _stellar_core(dataset, skyline_algorithm, tracer)
+        if bind_duplicates and dataset.n_objects:
+            result = _stellar_bound(dataset, config, tracer)
+        else:
+            result = _stellar_core(dataset, config, tracer)
         result.stats.root_span = root
     return result
 
@@ -168,7 +163,7 @@ class _PhaseHandle:
 
 
 def _stellar_core(
-    dataset: Dataset, skyline_algorithm: str, tracer: Tracer
+    dataset: Dataset, config: ParallelConfig, tracer: Tracer
 ) -> StellarResult:
     stats = StellarStats(n_objects=dataset.n_objects, n_dims=dataset.n_dims)
     if dataset.n_objects == 0:
@@ -178,7 +173,7 @@ def _stellar_core(
         with ProgressTask(
             "full_space_skyline", total=dataset.n_objects
         ) as task:
-            seeds = compute_skyline(dataset, None, algorithm=skyline_algorithm)
+            seeds = compute_skyline(dataset, None, parallel=config)
             task.advance(dataset.n_objects)
         sp.count("seeds", len(seeds))
     stats.n_seeds = len(seeds)
@@ -192,13 +187,17 @@ def _stellar_core(
 
     with _phase(tracer, "seed_decisive") as sp:
         with ProgressTask("seed_decisive", total=len(cgroups)):
-            seed_groups = compute_seed_groups(dataset, matrices, cgroups)
+            seed_groups = compute_seed_groups(
+                dataset, matrices, cgroups, parallel=config
+            )
         sp.count("seed_groups", len(seed_groups))
     stats.n_seed_groups = len(seed_groups)
 
     with _phase(tracer, "nonseed_extension") as sp:
         with ProgressTask("nonseed_extension", total=len(seed_groups)):
-            groups = extend_with_nonseeds(dataset, matrices, seed_groups)
+            groups = extend_with_nonseeds(
+                dataset, matrices, seed_groups, parallel=config
+            )
         sp.count("groups", len(groups))
     stats.n_groups = len(groups)
 
@@ -208,7 +207,7 @@ def _stellar_core(
 
 
 def _stellar_bound(
-    dataset: Dataset, skyline_algorithm: str, tracer: Tracer
+    dataset: Dataset, config: ParallelConfig, tracer: Tracer
 ) -> StellarResult:
     """Run the pipeline on distinct rows, then expand duplicate bindings.
 
@@ -237,9 +236,9 @@ def _stellar_bound(
                 for pos, rep in enumerate(representatives)
             }
     if not bound:
-        return _stellar_core(dataset, skyline_algorithm, tracer)
+        return _stellar_core(dataset, config, tracer)
 
-    inner = _stellar_core(reduced, skyline_algorithm, tracer)
+    inner = _stellar_core(reduced, config, tracer)
 
     def expand_members(members) -> frozenset[int]:
         out: set[int] = set()

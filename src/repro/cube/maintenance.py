@@ -29,6 +29,8 @@ tracks how often each path fires, which example
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,6 +125,11 @@ class MaintainedCube:
                 f"row has {len(row)} values, dataset has "
                 f"{self._dataset.n_dims} dimensions"
             )
+        for value in row:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"row values must be numbers, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"row values must be finite, got {value!r}")
 
     def check_delete(self, label: str) -> None:
         """Raise ``ValueError`` iff :meth:`delete` would reject the update."""

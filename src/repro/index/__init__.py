@@ -1,23 +1,20 @@
-"""Index substrate: a B+-tree and the Subsky subspace-skyline index.
+"""Index substrate: the SUBSKY subspace-skyline index.
 
 Reference [13] of the paper (Tao, Xiao, Pei: *SUBSKY*, ICDE 2006) is the
 alternative the related-work section contrasts with cube materialisation:
 instead of precomputing all subspace skylines, index the objects once so
-that *any* subspace skyline can be computed on the fly, "implemented
-efficiently using a B+-tree".  This package supplies both pieces:
-
-* :mod:`repro.index.bptree` -- an order-configurable in-memory B+-tree
-  with linked leaves, bulk loading, insertion, deletion and range scans;
-* :mod:`repro.index.subsky` -- a sound reconstruction of the single-anchor
-  SUBSKY idea on top of it: points sorted by a dominance-monotone key with
-  an early-termination threshold per query.
+that *any* subspace skyline can be computed on the fly.
+:mod:`repro.index.subsky` is a sound reconstruction of the single-anchor
+SUBSKY idea: points sorted by a dominance-monotone key with an
+early-termination threshold per query.  SUBSKY stores the keys in a
+B+-tree; the index here is only bulk-loaded and scanned in key order, so a
+sorted list gives the same scan.
 
 The latency benchmark (`benchmarks/bench_query_latency.py`) then stages
 the comparison the paper's Section 3 sketches: materialised compressed
 cube (this paper) vs. on-the-fly index (Subsky) vs. raw per-query skyline.
 """
 
-from .bptree import BPlusTree
 from .subsky import SubskyIndex
 
-__all__ = ["BPlusTree", "SubskyIndex"]
+__all__ = ["SubskyIndex"]

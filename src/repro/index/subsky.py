@@ -1,4 +1,4 @@
-"""SUBSKY-style on-the-fly subspace skylines over a B+-tree.
+"""SUBSKY-style on-the-fly subspace skylines over a sorted key list.
 
 Reference [13] (Tao, Xiao, Pei, ICDE 2006) indexes the dataset *once* so
 that the skyline of any subspace can be computed on demand -- the paper's
@@ -6,7 +6,9 @@ related-work counterpoint to materialising a cube.  SUBSKY's core idea is
 to collapse each point to a one-dimensional sort key stored in a B+-tree
 and scan the leaf chain in key order with (a) a sound incremental skyline
 filter and (b) an early-termination threshold that stops the scan long
-before the chain ends on well-behaved data.
+before the chain ends on well-behaved data.  The index is built once and
+never updated, so a list sorted by key gives the same scan as the leaf
+chain.
 
 This reconstruction uses the single-anchor variant.  Each point is stored
 under the composite key ``(min_D(p), sum_D(p), id)`` -- the minimum
@@ -44,7 +46,6 @@ import numpy as np
 
 from ..core.bitset import bit_list
 from ..core.types import Dataset
-from .bptree import BPlusTree
 
 __all__ = ["SubskyIndex"]
 
@@ -52,20 +53,16 @@ __all__ = ["SubskyIndex"]
 class SubskyIndex:
     """One-time index answering arbitrary subspace skyline queries."""
 
-    def __init__(self, dataset: Dataset, order: int = 64):
+    def __init__(self, dataset: Dataset):
         self.dataset = dataset
         minimized = dataset.minimized
-        n = dataset.n_objects
         self._minimized = minimized
-        if n:
-            f = minimized.min(axis=1)
-            sums = minimized.sum(axis=1)
-            pairs = sorted(
-                ((float(f[i]), float(sums[i]), i), i) for i in range(n)
-            )
-            self._tree = BPlusTree.bulk_load(pairs, order=order)
-        else:
-            self._tree = BPlusTree(order=order)
+        f = minimized.min(axis=1)
+        sums = minimized.sum(axis=1)
+        #: ``(min_D, sum_D, id)`` keys in ascending order.
+        self._keys = sorted(
+            (float(f[i]), float(sums[i]), i) for i in range(dataset.n_objects)
+        )
         #: Objects inspected by the most recent query (scan-depth metric).
         self.last_scanned = 0
 
@@ -91,7 +88,7 @@ class SubskyIndex:
         count = 0
         scanned = 0
 
-        for (f_value, _, _), obj in self._tree.items():
+        for f_value, _, obj in self._keys:
             if f_value > threshold:
                 break
             scanned += 1

@@ -6,12 +6,12 @@ decompose into independent shards whose results merge deterministically.
 This package provides the machinery:
 
 * :mod:`repro.parallel.backend` -- the execution backends (serial, thread
-  pool, process pool), the ``REPRO_PARALLEL`` environment override, spec
-  parsing for the CLI ``--parallel`` flag, and :func:`map_shards`, the
-  span/metrics-integrated fan-out primitive every call site uses;
+  pool, process pool), spec parsing and the process default for the CLI
+  ``--parallel`` flag, and :func:`map_shards`, the span/metrics-integrated
+  fan-out primitive every call site uses;
 * :mod:`repro.parallel.skyline` -- partition-local skylines plus an exact
   merge, used by :func:`repro.skyline.compute_skyline` for the algorithms
-  that support chunking (BNL, SFS, numpy).
+  that support chunking (SFS, numpy).
 
 Determinism is a hard guarantee: every parallel stage shards work into
 contiguous, ordered ranges and merges shard results in shard order, so the
@@ -22,33 +22,29 @@ performs a different set of pairwise comparisons than a single-pass one.
 
 from .backend import (
     AUTO_MIN_OBJECTS,
-    ENV_VAR,
     SERIAL,
     ParallelConfig,
-    active_parallel,
     chunk_ranges,
+    default_parallel,
     default_workers,
     get_shared,
     map_shards,
     parse_parallel_spec,
     resolve_parallel,
-    use_parallel,
 )
 from .skyline import PARTITIONABLE_ALGORITHMS, partitioned_skyline
 
 __all__ = [
     "AUTO_MIN_OBJECTS",
-    "ENV_VAR",
     "SERIAL",
     "ParallelConfig",
-    "active_parallel",
     "chunk_ranges",
+    "default_parallel",
     "default_workers",
     "get_shared",
     "map_shards",
     "parse_parallel_spec",
     "resolve_parallel",
-    "use_parallel",
     "PARTITIONABLE_ALGORITHMS",
     "partitioned_skyline",
 ]

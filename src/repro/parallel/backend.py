@@ -15,12 +15,14 @@ below :data:`AUTO_MIN_OBJECTS` work units or on a single-CPU host, and to
 ``process`` (``thread`` where ``fork`` is unavailable) above it.
 
 Configuration is resolved in precedence order: an explicit argument
-(``stellar(..., parallel=...)``), the ambient configuration installed by
-:func:`use_parallel` (the CLI ``--parallel`` flag), the ``REPRO_PARALLEL``
-environment variable, and finally :data:`SERIAL`.
+(``stellar(..., parallel=...)``), else the process default, which is
+:data:`SERIAL` unless the CLI ``--parallel`` flag installed another one for
+the duration of its command (:func:`default_parallel`).  The default is a
+plain module global, so every thread of the process -- HTTP handler threads
+included -- resolves the same configuration.
 
-The spec grammar, shared by the env var, the CLI flag, and the ``parallel=``
-keyword arguments::
+The spec grammar, shared by the CLI flag and the ``parallel=`` keyword
+arguments::
 
     serial                 force the serial path
     auto | auto:N          size-based selection, optionally capping workers
@@ -48,7 +50,6 @@ from concurrent.futures import (
     as_completed,
 )
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 from ..core.dominance import COMPARISONS
@@ -58,21 +59,16 @@ from ..obs.tracing import Span, Tracer, current_tracer
 
 __all__ = [
     "AUTO_MIN_OBJECTS",
-    "ENV_VAR",
     "SERIAL",
     "ParallelConfig",
-    "active_parallel",
     "chunk_ranges",
+    "default_parallel",
     "default_workers",
     "get_shared",
     "map_shards",
     "parse_parallel_spec",
     "resolve_parallel",
-    "use_parallel",
 ]
-
-#: Environment variable carrying the default parallel spec.
-ENV_VAR = "REPRO_PARALLEL"
 
 #: Work-unit count below which ``auto`` stays serial: pool start-up and
 #: shard pickling dominate any win on small inputs.
@@ -203,44 +199,33 @@ def parse_parallel_spec(
     return ParallelConfig(backend=name, workers=workers)
 
 
-#: Ambient configuration installed by :func:`use_parallel` (CLI flag).
-_AMBIENT: ContextVar[ParallelConfig | None] = ContextVar(
-    "repro_parallel_config", default=None
-)
-
-
-def active_parallel() -> ParallelConfig | None:
-    """The ambient configuration, if :func:`use_parallel` is in effect."""
-    return _AMBIENT.get()
+#: Process default for calls without an explicit spec; only
+#: :func:`default_parallel` (the CLI ``--parallel`` flag) changes it.
+_DEFAULT: ParallelConfig = SERIAL
 
 
 @contextmanager
-def use_parallel(spec: "ParallelConfig | str | int | None"):
-    """Install an ambient parallel configuration for the enclosed block.
+def default_parallel(spec: "ParallelConfig | str | int | None"):
+    """Install the process default configuration for the enclosed block.
 
-    Nested calls shadow outer ones; ``None`` re-installs :data:`SERIAL`
-    (useful to force the reference path under an env override).
+    The previous default is restored on exit, whether the block returns or
+    raises.
     """
-    token = _AMBIENT.set(parse_parallel_spec(spec))
+    global _DEFAULT
+    previous, _DEFAULT = _DEFAULT, parse_parallel_spec(spec)
     try:
-        yield _AMBIENT.get()
+        yield _DEFAULT
     finally:
-        _AMBIENT.reset(token)
+        _DEFAULT = previous
 
 
 def resolve_parallel(
     explicit: "ParallelConfig | str | int | None" = None,
 ) -> ParallelConfig:
-    """Resolve the active configuration: explicit > ambient > env > serial."""
+    """Resolve the active configuration: explicit, else the process default."""
     if explicit is not None:
         return parse_parallel_spec(explicit)
-    ambient = _AMBIENT.get()
-    if ambient is not None:
-        return ambient
-    env = os.environ.get(ENV_VAR)
-    if env:
-        return parse_parallel_spec(env)
-    return SERIAL
+    return _DEFAULT
 
 
 def chunk_ranges(n: int, parts: int) -> list[tuple[int, int]]:

@@ -27,11 +27,10 @@ from .backend import ParallelConfig, chunk_ranges, get_shared, map_shards
 
 __all__ = ["PARTITIONABLE_ALGORITHMS", "partitioned_skyline"]
 
-#: Registry algorithms whose partition-local runs are sound to merge: they
-#: are generic window/sort filters with no global precomputed structure
-#: (BBS and NN would need their R-tree rebuilt per chunk; bitmap's encoding
-#: is global).  ``auto`` resolves to one of these before the check.
-PARTITIONABLE_ALGORITHMS = frozenset({"bnl", "sfs", "numpy"})
+#: Registry algorithms whose partition-local runs are sound to merge: both
+#: are sort-based filters with no global precomputed structure.  ``auto``
+#: resolves to one of these before the check.
+PARTITIONABLE_ALGORITHMS = frozenset({"sfs", "numpy"})
 
 
 def _chunk_skyline(bounds: tuple[int, int]) -> list[int]:

@@ -16,6 +16,7 @@ Prometheus endpoint as ``repro_serve_*``.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from contextlib import contextmanager
@@ -47,9 +48,11 @@ class Deadline:
     __slots__ = ("budget_seconds", "_expires_at")
 
     def __init__(self, budget_seconds: float):
-        if budget_seconds <= 0:
+        # NaN compares false against everything and inf never runs out, so
+        # either would switch the deadline off.
+        if not math.isfinite(budget_seconds) or budget_seconds <= 0:
             raise ValueError(
-                f"deadline budget must be positive, got {budget_seconds}"
+                f"deadline budget must be finite and positive, got {budget_seconds}"
             )
         self.budget_seconds = budget_seconds
         self._expires_at = time.monotonic() + budget_seconds
@@ -130,9 +133,10 @@ class AdmissionController:
             )
         if queue_limit < 0:
             raise ValueError(f"queue_limit must be >= 0, got {queue_limit}")
-        if default_deadline_ms <= 0:
+        if not math.isfinite(default_deadline_ms) or default_deadline_ms <= 0:
             raise ValueError(
-                f"default_deadline_ms must be positive, got {default_deadline_ms}"
+                "default_deadline_ms must be finite and positive, "
+                f"got {default_deadline_ms}"
             )
         self.max_concurrency = max_concurrency
         self.queue_limit = queue_limit

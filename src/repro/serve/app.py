@@ -366,14 +366,15 @@ class CubeService:
 
         With WAL enabled the mutation is validated, durably logged, and
         only then applied -- an invalid request (duplicate label, wrong
-        row width) touches neither the log nor the mutation counter.
+        row width, a non-numeric or non-finite value) touches neither the
+        log nor the mutation counter.
         """
         name = self._resolve_name(snapshot)
-        values = [float(v) for v in row]
         with self._name_lock(name):
             state = self._state(name)
             maintained = state.maintained or MaintainedCube.adopt(state.cube)
-            maintained.check_insert(values, label)
+            maintained.check_insert(row, label)
+            values = [float(v) for v in row]
             self._wal_append(state, "insert", label=label, row=values)
             fast = maintained.insert(values, label=label)
             new_state = self._mutated(state, maintained)
@@ -1036,6 +1037,13 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 READ_TIMEOUT_S = 30.0
 
 
+class _ServeHTTPServer(ThreadingHTTPServer):
+    #: The stdlib backlog of 5 overflows under bursts of new connections; the
+    #: kernel then drops the SYN and the client retries only after 1 s.
+    request_queue_size = 128
+    daemon_threads = True
+
+
 class _ServeHandler(BaseHTTPRequestHandler):
     """JSON-over-HTTP façade; one instance per request (stdlib behavior)."""
 
@@ -1130,8 +1138,7 @@ def start_server(
     ephemeral port.
     """
     handler = type("BoundServeHandler", (_ServeHandler,), {"service": service})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
+    server = _ServeHTTPServer((host, port), handler)
     thread = threading.Thread(
         target=server.serve_forever, name="repro-serve", daemon=True
     )

@@ -1,18 +1,18 @@
 """Full-space and subspace skyline algorithms (substrate).
 
 The paper's Stellar algorithm needs one skyline computation in the full
-space; its Skyey baseline needs one per subspace.  This package implements
-the classical algorithms the paper cites as related work so the library is
-self-contained:
+space; its Skyey baseline needs one per subspace.  The registry holds
+:mod:`~repro.skyline.bnl` (Borzsonyi et al., ICDE'01) and
+:mod:`~repro.skyline.nn` (Kossmann et al., VLDB'02), which nothing runs,
+and the three algorithms something runs:
 
-* :mod:`repro.skyline.bnl` -- block-nested-loops (Borzsonyi et al., ICDE'01)
-* :mod:`repro.skyline.sfs` -- sort-first skyline (Chomicki et al., ICDE'03)
-* :mod:`repro.skyline.divide_conquer` -- divide & conquer (Borzsonyi et al.)
-* :mod:`repro.skyline.less` -- LESS-style sort+eliminate (Godfrey et al., VLDB'05)
-* :mod:`repro.skyline.bitmap` -- bit-parallel dominance tests (Tan et al., VLDB'01)
-* :mod:`repro.skyline.nn` -- nearest-neighbor partitioning (Kossmann et al., VLDB'02)
-* :mod:`repro.skyline.bbs` -- branch-and-bound over an R-tree (Papadias et al., SIGMOD'03)
-* :mod:`repro.skyline.numpy_skyline` -- vectorised SFS used at benchmark scale
+* :func:`repro.skyline.base.skyline_brute` -- the quadratic reference every
+  other algorithm is tested against;
+* :mod:`repro.skyline.sfs` -- sort-first skyline (Chomicki et al.,
+  ICDE'03), which ``auto`` picks for small inputs and the naive-cube
+  oracle uses;
+* :mod:`repro.skyline.numpy_skyline` -- the vectorised kernels (packed
+  bitsets, then a chunked SFS scan) behind every build at scale.
 
 All algorithms share one contract (see :mod:`repro.skyline.base`): they take
 a *minimized* value matrix (smaller is better everywhere) plus a subspace

@@ -8,8 +8,7 @@ dimension -- ``{p : p_i < nn_i}`` -- each processed recursively.  The
 original uses an R-tree for the NN queries and a to-do list of regions;
 this in-memory reproduction keeps the recursion explicit over index
 subsets, which preserves the discovery order and the region algebra while
-dropping the index plumbing (BBS, also in this package, is the
-index-driven successor).
+dropping the index plumbing.
 
 Two well-known subtleties are handled exactly:
 

@@ -16,11 +16,7 @@ from ..parallel import (
     resolve_parallel,
 )
 from .base import skyline_brute, subspace_columns
-from .bbs import skyline_bbs
-from .bitmap import skyline_bitmap
 from .bnl import skyline_bnl
-from .divide_conquer import skyline_divide_conquer
-from .less import skyline_less
 from .nn import skyline_nn
 from .numpy_skyline import skyline_numpy
 from .sfs import skyline_sfs
@@ -29,15 +25,13 @@ __all__ = ["SKYLINE_ALGORITHMS", "compute_skyline"]
 
 SkylineFn = Callable[[np.ndarray, int | None], list[int]]
 
-#: All registered skyline algorithms, by name.
+#: All registered skyline algorithms, by name: ``brute`` is the test
+#: oracle, ``sfs`` serves small inputs and the naive-cube oracle, and
+#: ``numpy`` runs every build at scale; nothing runs ``bnl`` or ``nn``.
 SKYLINE_ALGORITHMS: dict[str, SkylineFn] = {
     "brute": skyline_brute,
     "bnl": skyline_bnl,
     "sfs": skyline_sfs,
-    "dc": skyline_divide_conquer,
-    "less": skyline_less,
-    "bitmap": skyline_bitmap,
-    "bbs": skyline_bbs,
     "nn": skyline_nn,
     "numpy": skyline_numpy,
 }
@@ -66,7 +60,7 @@ def compute_skyline(
         One of ``"auto"`` or a key of :data:`SKYLINE_ALGORITHMS`.
     parallel:
         Parallel-execution spec (see :mod:`repro.parallel`); ``None`` defers
-        to the ambient configuration / ``REPRO_PARALLEL``.  When the
+        to the process default (the CLI ``--parallel`` flag).  When the
         resolved configuration engages and the algorithm supports chunking
         (:data:`~repro.parallel.PARTITIONABLE_ALGORITHMS`), the skyline is
         computed via partition-local skylines plus an exact merge -- the

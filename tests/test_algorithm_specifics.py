@@ -9,8 +9,6 @@ import numpy as np
 
 from repro.core.types import Dataset
 from repro.index import SubskyIndex
-from repro.skyline.bitmap import skyline_bitmap
-from repro.skyline.less import skyline_less
 from repro.skyline.nn import skyline_nn
 from repro.skyline.numpy_skyline import chunked_sorted_skyline
 from repro.skyline.sfs import monotone_order
@@ -52,32 +50,6 @@ class TestChunkedScan:
     def test_positions_refer_to_sorted_matrix(self):
         ordered = np.array([[0.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
         assert chunked_sorted_skyline(ordered) == [0]
-
-
-class TestLESSFilter:
-    def test_minimum_sum_record_always_survives(self):
-        rng = np.random.default_rng(2)
-        m = np.floor(rng.random((200, 3)) * 6)
-        best = int(np.argmin(m.sum(axis=1)))
-        assert best in skyline_less(m, None)
-
-    def test_filter_handles_fewer_records_than_window(self):
-        m = np.array([[1.0, 2.0], [2.0, 1.0]])
-        assert skyline_less(m, None) == [0, 1]
-
-
-class TestBitmapStructure:
-    def test_low_cardinality_strength(self):
-        """Binary data: two slices per dimension, still exact."""
-        rng = np.random.default_rng(3)
-        m = rng.integers(0, 2, size=(64, 5)).astype(float)
-        from repro.skyline import skyline_brute
-
-        assert skyline_bitmap(m, None) == skyline_brute(m, None)
-
-    def test_single_column(self):
-        m = np.array([[3.0], [1.0], [1.0], [2.0]])
-        assert skyline_bitmap(m, None) == [1, 2]
 
 
 class TestNNRecursion:

@@ -233,6 +233,15 @@ class TestDiffService:
         with pytest.raises(ValueError, match="top"):
             service.diff("v000001", "v000002", top=0)
 
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_non_finite_deadline_is_bad_request(self, served, budget):
+        _, service = served
+        query = {"from": ["v000001"], "to": ["v000002"], "deadline_ms": [budget]}
+        status, payload, _ = service.handle_http("GET", "/v1/diff", query, {})
+        assert status == 400
+        assert payload["error"] == "bad_request"
+        assert "finite" in payload["detail"]
+
     def test_http_endpoint(self, served):
         from repro.serve import start_server
 

@@ -1,6 +1,7 @@
 """Tests for repro.parallel: specs, precedence, determinism, crash safety."""
 
 import multiprocessing
+import threading
 
 import pytest
 
@@ -9,18 +10,17 @@ from repro.core.stellar import stellar
 from repro.data import make_dataset
 from repro.parallel import (
     AUTO_MIN_OBJECTS,
-    ENV_VAR,
     SERIAL,
     ParallelConfig,
-    active_parallel,
     chunk_ranges,
+    default_parallel,
     get_shared,
     map_shards,
     parse_parallel_spec,
     resolve_parallel,
-    use_parallel,
 )
 from repro.skyline import compute_skyline
+from repro.skyline.numpy_skyline import BITSET_MAX_ROWS
 
 _FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -106,35 +106,27 @@ class TestPlan:
 
 
 class TestPrecedence:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_default_is_serial(self):
         assert resolve_parallel() is SERIAL
 
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "thread:3")
-        config = resolve_parallel()
+    def test_default_applies_without_explicit(self):
+        with default_parallel("thread:3"):
+            config = resolve_parallel()
         assert (config.backend, config.workers) == ("thread", 3)
 
-    def test_ambient_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "thread:3")
-        with use_parallel("process:2"):
-            config = resolve_parallel()
-        assert (config.backend, config.workers) == ("process", 2)
-
-    def test_explicit_overrides_ambient(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "thread:3")
-        with use_parallel("process:2"):
+    def test_explicit_overrides_default(self):
+        with default_parallel("process:2"):
             config = resolve_parallel("serial")
         assert config.backend == "serial"
 
-    def test_use_parallel_restores_on_exit(self):
-        assert active_parallel() is None
-        with use_parallel("thread:2") as config:
-            assert active_parallel() is config
-            with use_parallel(None) as inner:
+    def test_default_parallel_restores_on_exit(self):
+        with default_parallel("thread:2") as config:
+            assert resolve_parallel() is config
+            with default_parallel(None) as inner:
                 assert inner is SERIAL
-            assert active_parallel() is config
-        assert active_parallel() is None
+                assert resolve_parallel() is SERIAL
+            assert resolve_parallel() is config
+        assert resolve_parallel() is SERIAL
 
 
 # -- chunking ---------------------------------------------------------------
@@ -242,6 +234,18 @@ class TestSerialParallelEquality:
         assert par == serial
 
     @pytest.mark.parametrize("spec", BACKENDS)
+    @pytest.mark.parametrize("dist,d", [("independent", 4), ("anticorrelated", 3)])
+    def test_numpy_across_bitset_cutoff(self, dist, d, spec):
+        # Two chunks of 2,001 and 2,000 rows: the larger one takes the
+        # chunked scan, the other and the merge of the candidates take the
+        # packed bitsets; the serial run scans all 4,001 rows.
+        data = make_dataset(dist, 2 * BITSET_MAX_ROWS + 1, d, seed=7)
+        serial = compute_skyline(data, algorithm="numpy", parallel="serial")
+        par = compute_skyline(data, algorithm="numpy", parallel=spec)
+        assert par == serial
+        assert serial == compute_skyline(data, algorithm="brute")
+
+    @pytest.mark.parametrize("spec", BACKENDS)
     @pytest.mark.parametrize("dist,n,d", DATASETS)
     def test_stellar(self, dist, n, d, spec):
         data = _dataset(dist, n, d)
@@ -273,12 +277,18 @@ class TestSerialParallelEquality:
             assert par.groups == serial.groups
             assert par.skyline_sizes == serial.skyline_sizes
 
-    def test_env_var_engages_the_backend(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "thread:2")
+    def test_process_default_engages_the_backend(self):
         data = _dataset("independent", 120, 4)
-        via_env = stellar(data)
-        assert via_env.stats.root_span.attributes["parallel"] == "thread:2"
-        assert via_env.groups == stellar(data, parallel="serial").groups
+        with default_parallel("thread:2"):
+            via_default = stellar(data)
+        assert via_default.stats.root_span.attributes["parallel"] == "thread:2"
+        maps = [
+            sp
+            for sp in via_default.stats.root_span.walk()
+            if sp.name == "parallel.map"
+        ]
+        assert maps
+        assert via_default.groups == stellar(data, parallel="serial").groups
 
 
 # -- observability ----------------------------------------------------------
@@ -370,8 +380,42 @@ class TestCli:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
-    def test_flag_does_not_leak_ambient_config(self, csv_path):
+    def test_flag_default_restored_after_return(self, csv_path):
         from repro.cli import main
 
         main(["skyline", "--input", str(csv_path), "--parallel", "thread:2"])
-        assert active_parallel() is None
+        assert resolve_parallel() is SERIAL
+
+    def test_flag_default_restored_after_raise(self, csv_path, monkeypatch):
+        from repro import cli
+
+        def failing(args):
+            assert resolve_parallel().describe() == "thread:2"
+            raise RuntimeError("handler failed")
+
+        monkeypatch.setattr(cli, "_cmd_skyline", failing)
+        with pytest.raises(RuntimeError, match="handler failed"):
+            cli.main(["skyline", "--input", str(csv_path), "--parallel", "thread:2"])
+        assert resolve_parallel() is SERIAL
+
+    def test_flag_default_reaches_fresh_threads(self, csv_path, monkeypatch):
+        # HTTP handler threads start without the CLI thread's context; the
+        # process default must reach them anyway.
+        from repro import cli
+
+        data = _dataset("independent", 120, 4)
+        roots = []
+
+        def handler(args):
+            worker = threading.Thread(
+                target=lambda: roots.append(stellar(data).stats.root_span)
+            )
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_skyline", handler)
+        code = cli.main(["skyline", "--input", str(csv_path), "--parallel", "thread:2"])
+        assert code == 0
+        assert [root.attributes["parallel"] for root in roots] == ["thread:2"]

@@ -244,6 +244,13 @@ class TestAdmissionController:
         with pytest.raises(ValueError):
             Deadline(0)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+    def test_non_finite_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="finite"):
+            Deadline(budget)
+        with pytest.raises(ValueError, match="finite"):
+            AdmissionController(default_deadline_ms=budget)
+
 
 class TestCubeService:
     @pytest.fixture
@@ -326,6 +333,16 @@ class TestCubeService:
         )
         assert status == 504
         assert payload["error"] == "deadline_exceeded"
+
+    @pytest.mark.parametrize("path", ["/v1/skyline", "/v1/top-frequent"])
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
+    def test_non_finite_deadline_is_bad_request(self, service, path, budget):
+        status, payload, _ = service.handle_http(
+            "GET", path, {"subspace": ["price"], "deadline_ms": [budget]}, {}
+        )
+        assert status == 400
+        assert payload["error"] == "bad_request"
+        assert "finite" in payload["detail"]
 
     def test_http_error_mapping(self, service):
         status, payload, _ = service.handle_http(
@@ -615,6 +632,32 @@ class TestHTTPBodyLimits:
             assert time.monotonic() - started < 5
             conn.close()
             assert http_get(f"{server.url}/healthz")[0] == 200
+
+
+class TestListenBacklog:
+    def test_connection_burst_queues_without_accept(self):
+        """A burst of connects completes even while no thread accepts.
+
+        With the stdlib backlog of 5 the kernel drops the SYNs past the
+        sixth, and each client stalls for a 1 s retransmit -- the latency
+        spike a starved accept loop showed under load.
+        """
+        from http.server import BaseHTTPRequestHandler
+
+        from repro.serve.app import _ServeHTTPServer
+
+        server = _ServeHTTPServer(("127.0.0.1", 0), BaseHTTPRequestHandler)
+        conns = []
+        try:
+            for _ in range(64):
+                conn = socket.socket()
+                conns.append(conn)
+                conn.settimeout(0.5)
+                conn.connect(server.server_address)
+        finally:
+            for conn in conns:
+                conn.close()
+            server.server_close()
 
 
 class TestConcurrentServing:

@@ -125,6 +125,3 @@ def test_large_random_consistency():
     m = np.floor(rng.random((3000, 4)) * 50) / 50
     expected = skyline_brute(m)
     assert SKYLINE_ALGORITHMS["numpy"](m, None) == expected
-    assert SKYLINE_ALGORITHMS["dc"](m, None) == expected
-    assert SKYLINE_ALGORITHMS["less"](m, None) == expected
-    assert SKYLINE_ALGORITHMS["bitmap"](m, None) == expected

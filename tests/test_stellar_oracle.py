@@ -6,7 +6,6 @@ with exponential brute force; Stellar and Skyey must reproduce its output
 projections -- on every input, including duplicates and heavy value ties.
 """
 
-import pytest
 from hypothesis import given, settings
 
 from repro.baselines import naive_compressed_cube, skyey
@@ -124,19 +123,6 @@ class TestMixedDirections:
         )
 
 
-class TestAlgorithmIndependence:
-    @settings(max_examples=30, deadline=None)
-    @given(tiny_int_datasets(max_objects=10, max_dims=4, max_value=3))
-    def test_cube_independent_of_seed_algorithm(self, ds: Dataset):
-        """Step 1 of Stellar may use any skyline algorithm; the cube must
-        not depend on the choice."""
-        reference = canonical(stellar(ds, skyline_algorithm="brute").groups)
-        for algorithm in ("bnl", "sfs", "dc", "less", "bitmap", "bbs", "nn"):
-            assert canonical(
-                stellar(ds, skyline_algorithm=algorithm).groups
-            ) == reference, algorithm
-
-
 class TestStellarStats:
     def test_counters(self, running_example):
         stats = stellar(running_example).stats
@@ -153,15 +139,6 @@ class TestStellarStats:
             "nonseed_extension",
         }
         assert stats.total_seconds >= 0
-
-    def test_skyline_algorithm_parameter(self, running_example):
-        for algorithm in ("brute", "bnl", "sfs", "dc", "less", "bitmap", "numpy"):
-            result = stellar(running_example, skyline_algorithm=algorithm)
-            assert result.seeds == [1, 3, 4]
-
-    def test_unknown_algorithm_propagates(self, running_example):
-        with pytest.raises(ValueError, match="unknown skyline algorithm"):
-            stellar(running_example, skyline_algorithm="nope")
 
 
 class TestSkyeyStats:

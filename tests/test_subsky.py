@@ -13,7 +13,7 @@ from .conftest import tiny_int_datasets
 
 class TestCorrectness:
     def test_running_example_all_subspaces(self, running_example):
-        index = SubskyIndex(running_example, order=4)
+        index = SubskyIndex(running_example)
         for subspace in range(1, 16):
             assert index.query(subspace) == compute_skyline(
                 running_example, subspace, algorithm="brute"
@@ -43,7 +43,7 @@ class TestCorrectness:
     @settings(max_examples=60, deadline=None)
     @given(tiny_int_datasets(max_objects=14, max_dims=4, max_value=3))
     def test_matches_direct_on_every_subspace(self, ds: Dataset):
-        index = SubskyIndex(ds, order=8)
+        index = SubskyIndex(ds)
         for subspace in range(1, 1 << ds.n_dims):
             assert index.query(subspace) == compute_skyline(
                 ds, subspace, algorithm="brute"

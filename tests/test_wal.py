@@ -15,6 +15,7 @@ import pytest
 
 from repro.cube import CompressedSkylineCube, MaintainedCube
 from repro.cube.io import cube_fingerprint
+from repro.obs.metrics import registry
 from repro.serve import CubeService, SnapshotStore
 from repro.wal import (
     WalRecord,
@@ -268,6 +269,33 @@ class TestServiceDurability:
             service.maintenance_insert([1.0], label="short-row")
         segment = wal_path(store.root, "routes", "v000001")
         assert read_segment(segment).records == ()
+        service.close()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"row": [NaN, 0.1, 0.2], "label": "BAD"}',
+            '{"row": [0.1, Infinity, 0.2], "label": "BAD"}',
+            '{"row": [0.1, [0.5], 0.2], "label": "BAD"}',
+        ],
+        ids=["nan", "inf", "nested-list"],
+    )
+    def test_rejected_insert_leaves_wal_untouched(self, published, body):
+        store = published[0]
+        service = CubeService(store, reload_interval=0)
+        service.maintenance_insert([100.0, 1.0, 0.0], label="NEW")
+        segment = wal_path(store.root, "routes", "v000001")
+        appends = registry().counter("serve.wal.appends")
+        size, appended = segment.stat().st_size, appends.value
+        # json.loads accepts NaN/Infinity, as the HTTP handler's parser does.
+        status, payload, _ = service.handle_http(
+            "POST", "/v1/maintenance/insert", {}, json.loads(body)
+        )
+        assert status == 400
+        assert payload["error"] == "bad_request"
+        assert segment.stat().st_size == size
+        assert appends.value == appended
+        assert [r.label for r in read_segment(segment).records] == ["NEW"]
         service.close()
 
     def test_wal_disabled_loses_mutations(self, published):
