@@ -123,6 +123,21 @@ def test_stellar_vs_skyey_comparison_counts(benchmark, nba):
     assert skyey_comparisons > 0
 
 
+def test_stellar_build_independent_20k(benchmark):
+    """Stellar above ``BITSET_MAX_ROWS``: the chunked scan and the share-map join.
+
+    At 20,000 x 4 the full-space skyline runs the chunk-vectorised SFS scan
+    and the non-seed extension joins ~19,800 non-seeds against the seed
+    groups.  Too big for the definitional oracle, so the pinned seed and
+    group counts are the check.
+    """
+    data = make_dataset("independent", 20_000, 4, seed=20070415)
+    result = benchmark.pedantic(stellar, args=(data,), rounds=1, iterations=1)
+    assert len(result.seeds) == 175
+    assert result.stats.n_seed_groups == 176
+    assert len(result.groups) == 177
+
+
 @pytest.mark.parametrize(
     "strategy", ("shared", "topdown"), ids=("shared-keys", "candidate-pruned")
 )

@@ -54,9 +54,13 @@ from .types import Dataset, SkylineGroup
 
 __all__ = ["extend_with_nonseeds", "share_and_beat_masks", "closed_masks"]
 
-#: ``auto`` engages the pool only above this many (group, non-seed) pairs;
-#: the share/beat broadcast is the dominant cost of the Theorem 5 pass.
+#: ``auto`` engages the pool only above this many non-seed rows, the unit
+#: the share-map equality join's cost grows with (~0.8 µs a row; on 2 vCPU a
+#: process pool did not beat the serial join even at 500,000 rows).
 _PARALLEL_FLOOR = 1 << 20
+#: Most candidate (group, non-seed) pairs one block of the share-map join
+#: materialises; bounds its pairwise temporaries.
+_PAIR_BUDGET = 1 << 18
 
 
 def share_and_beat_masks(
@@ -106,10 +110,15 @@ def _share_maps_block(
 ) -> list[dict[int, int]]:
     """Share masks of the *relevant* non-seeds for every seed group.
 
-    One broadcast comparison handles a whole block of groups at once; the
-    per-group Python work is proportional to the number of relevant
-    non-seeds only, which keeps the Theorem 5 pass fast even with thousands
-    of seed groups.
+    A relevant non-seed has ``share ≠ ∅``: it equals the representative on
+    at least one dimension of the group's subspace.  So the candidates come
+    from an equality join: each non-seed column is sorted once, and
+    ``searchsorted`` finds every representative's tie run on the dimensions
+    of its subspace.  Exact share/beat masks are computed only on the
+    union of those (group, non-seed) pairs, in group blocks of at most
+    :data:`_PAIR_BUDGET` candidate pairs.  On tie-free data the pairs are
+    few; on tie-heavy data the cost approaches the dense ``groups ×
+    non-seeds`` comparison, with memory still bounded per block.
 
     ``ns_matrix``/``ns_ids`` may be any contiguous slice of the non-seeds
     (the parallel path shards along that axis); per-group dict keys come
@@ -120,25 +129,56 @@ def _share_maps_block(
     m, d = ns_matrix.shape
     if m == 0 or n_groups == 0:
         return share_maps
-    # Bound the (block, m, d) boolean temporaries to ~32 MB apiece.
-    block = max(1, min(n_groups, 32_000_000 // max(m * d, 1)))
-    for start in range(0, n_groups, block):
-        stop = min(start + block, n_groups)
-        blk_reps = reps[start:stop, :]  # (g, d)
-        eq = ns_matrix[None, :, :] == blk_reps[:, None, :]
-        lt = ns_matrix[None, :, :] < blk_reps[:, None, :]
-        share_blk = eq.astype(pow2.dtype) @ pow2
-        beat_blk = lt.astype(pow2.dtype) @ pow2
-        share_blk &= subspaces[start:stop, None]
-        beat_blk &= subspaces[start:stop, None]
-        relevant = (share_blk != 0) & (beat_blk == 0)
-        for gi in range(stop - start):
-            hits = np.flatnonzero(relevant[gi])
-            if hits.size:
-                row = share_blk[gi]
-                share_maps[start + gi] = {
-                    int(ns_ids[j]): int(row[j]) for j in hits
-                }
+    # Per dimension: the sorted order of the column, and each group's tie
+    # run in it (its start and length; length 0 off the group's subspace).
+    orders, run_starts, run_lens = [], [], []
+    for k in range(d):
+        order = np.argsort(ns_matrix[:, k])
+        column = ns_matrix[order, k]
+        lo = np.searchsorted(column, reps[:, k], side="left")
+        hi = np.searchsorted(column, reps[:, k], side="right")
+        on_subspace = ((subspaces >> k) & 1).astype(bool)
+        orders.append(order)
+        run_starts.append(lo)
+        run_lens.append(np.where(on_subspace, hi - lo, 0))
+    pair_ends = np.cumsum(np.sum(run_lens, axis=0))
+    start = 0
+    while start < n_groups:
+        spent = int(pair_ends[start - 1]) if start else 0
+        stop = max(
+            start + 1,
+            int(np.searchsorted(pair_ends, spent + _PAIR_BUDGET, side="right")),
+        )
+        groups, rows = [], []
+        for k in range(d):
+            lens = run_lens[k][start:stop]
+            total = int(lens.sum())
+            if total == 0:
+                continue
+            offsets = np.arange(total) + np.repeat(
+                run_starts[k][start:stop] - (np.cumsum(lens) - lens), lens
+            )
+            groups.append(np.repeat(np.arange(start, stop), lens))
+            rows.append(orders[k][offsets])
+        start = stop
+        if not groups:
+            continue
+        pairs = np.unique(np.concatenate(groups) * m + np.concatenate(rows))
+        g, j = np.divmod(pairs, m)
+        candidates, values, spaces = ns_matrix[j], reps[g], subspaces[g]
+        share = ((candidates == values).astype(pow2.dtype) @ pow2) & spaces
+        beat = ((candidates < values).astype(pow2.dtype) @ pow2) & spaces
+        relevant = (share != 0) & (beat == 0)
+        g = g[relevant]
+        if g.size == 0:
+            continue
+        ids = ns_ids[j[relevant]].tolist()
+        masks = share[relevant].tolist()
+        # ``pairs`` is sorted, so each group's pairs are one run in
+        # ascending non-seed order.
+        edges = [0, *(np.flatnonzero(np.diff(g)) + 1).tolist(), len(ids)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            share_maps[int(g[lo])] = dict(zip(ids[lo:hi], masks[lo:hi]))
     return share_maps
 
 
@@ -181,7 +221,7 @@ def _batched_share_maps(
     )
     ns_ids = np.asarray(nonseeds, dtype=np.int64)
     config = resolve_parallel(parallel)
-    workers = config.plan(m * n_groups, floor=_PARALLEL_FLOOR)
+    workers = config.plan(m, floor=_PARALLEL_FLOOR)
     if workers <= 1 or m < 2 * workers:
         return _share_maps_block(reps, subspaces, ns_matrix, ns_ids, pow2)
     ranges = chunk_ranges(m, workers)

@@ -4,17 +4,23 @@ Up to :data:`BITSET_MAX_ROWS` objects the skyline is computed with
 :func:`skyline_bitset`, which replaces the per-candidate scan with
 ``n^2/64`` packed word operations.  Above it the skyline is computed with
 SFS (sort by the monotone coordinate sum, then one filtered scan), with
-the scan organised in *chunks*: each chunk of candidates is first
-filtered against the accepted-skyline window with one broadcast
-comparison, and only the survivors go through the short serial pass that
-resolves intra-chunk dominance.  This keeps the Python interpreter out of
-the inner loop without changing the algorithm's comparison semantics.
+the scan organised in *chunks* and no Python loop over candidates.  Each
+chunk is first filtered against the accepted-skyline window, then the
+window survivors are tested against each other in one vectorised
+``c x c`` comparison.  Both tests build dominance one dimension at a time
+from 2-D ``(candidates, others)`` comparisons, so no ``(c, w, d)``
+temporary is ever materialised.
 
-Correctness of chunking rests on the SFS invariant: under a monotone sort
-key a candidate can only be dominated by objects *earlier* in the order,
-and dominance is transitive, so being undominated by the accepted window
-plus the accepted members of one's own chunk is equivalent to being
-undominated outright.
+Correctness: dominance is a strict partial order, so every dominated row
+has a dominator in the skyline, and under a monotone sort key that
+dominator comes *earlier* in the order.  It therefore sits either in the
+window or among the current chunk's window survivors.  A survivor is
+thus a skyline row iff no other survivor dominates it, whatever the
+order inside the chunk.
+
+Comparison accounting: :data:`COMPARISONS` is charged one logical test per
+(candidate, window row) pair actually compared, and ``c^2`` for the
+``c x c`` test among ``c`` window survivors (diagonal included).
 
 On correlated inputs (tiny skylines) the chunked scan runs in near-linear
 time; on anti-correlated inputs (huge skylines) it degrades towards
@@ -45,11 +51,14 @@ _CHUNK = 512
 _WINDOW_BLOCK = 4096
 #: Largest input :func:`skyline_numpy` hands to :func:`skyline_bitset`.  The
 #: bitsets cost the same on every input of a size, the scan grows with the
-#: skyline.  Up to 2,000 rows the bitsets won on every distribution tried
-#: (2,000 x 6 anti-correlated: 8 ms vs 200 ms) but one (NBA-like 2,000 x 17:
-#: 15 ms vs 11 ms).  From 3,000 rows on, inputs with small skylines
-#: (correlated, NBA-like) favour the scan (correlated 10,000 x 6: 21 ms vs
-#: 245 ms), and at 50,000 x 4 the bitsets take 2.5 GiB.  (2 vCPU, numpy 2.4.)
+#: skyline.  At 2,000 rows the bitsets win on large skylines (anti-correlated
+#: 2,000 x 6: 10 ms vs 39 ms for the scan; independent: 13 ms vs 17 ms) and
+#: lose on small ones (correlated: 13 ms vs 7 ms; NBA-like 2,000 x 17: 29 ms
+#: vs 17 ms).  Above it their n^2 cost catches up even on anti-correlated
+#: data (5,000 x 6: 110 ms vs 122 ms; 10,000 x 6: 311 ms vs 278 ms) and
+#: loses clearly elsewhere (independent 10,000 x 6: 334 ms vs 107 ms;
+#: correlated: 344 ms vs 15 ms); at 50,000 x 4 the bitsets take 2.5 GiB.
+#: (2 vCPU, numpy 2.4.)
 BITSET_MAX_ROWS = 2_000
 
 
@@ -59,36 +68,44 @@ def chunked_sorted_skyline(ordered: np.ndarray, chunk: int = _CHUNK) -> list[int
     Returns positions *into the sorted matrix*, in increasing order.
     """
     n, d = ordered.shape
-    window = np.empty((0, d), dtype=ordered.dtype)
+    # Column-major, so every per-dimension comparison reads contiguous rows.
+    columns = np.ascontiguousarray(ordered.T)
+    window = np.empty((d, 0), dtype=ordered.dtype)
     accepted: list[int] = []
     for start in range(0, n, chunk):
-        block = ordered[start : start + chunk]
-        c = block.shape[0]
-        alive = np.ones(c, dtype=bool)
-        for ws in range(0, window.shape[0], _WINDOW_BLOCK):
-            wblock = window[ws : ws + _WINDOW_BLOCK]
-            COMPARISONS.add(c * wblock.shape[0])
-            le = np.all(wblock[None, :, :] <= block[:, None, :], axis=2)
-            lt = np.any(wblock[None, :, :] < block[:, None, :], axis=2)
-            alive &= ~np.any(le & lt, axis=1)
-            if not alive.any():
+        block = columns[:, start : start + chunk]
+        alive = np.arange(block.shape[1])
+        for ws in range(0, window.shape[1], _WINDOW_BLOCK):
+            wblock = window[:, ws : ws + _WINDOW_BLOCK]
+            COMPARISONS.add(alive.size * wblock.shape[1])
+            alive = alive[~_dominated_by(block[:, alive], wblock)]
+            if alive.size == 0:
                 break
-        block_accepted: list[int] = []
-        for i in np.flatnonzero(alive):
-            candidate = block[i]
-            if block_accepted:
-                COMPARISONS.add(len(block_accepted))
-                prior = block[block_accepted]
-                no_worse = np.all(prior <= candidate, axis=1)
-                if bool(no_worse.any()) and bool(
-                    np.any(prior[no_worse] < candidate, axis=1).any()
-                ):
-                    continue
-            block_accepted.append(int(i))
-            accepted.append(start + int(i))
-        if block_accepted:
-            window = np.vstack([window, block[block_accepted]])
+        if alive.size == 0:
+            continue
+        survivors = block[:, alive]
+        COMPARISONS.add(alive.size * alive.size)
+        keep = alive[~_dominated_by(survivors, survivors)]
+        accepted.extend((start + keep).tolist())
+        window = np.hstack([window, block[:, keep]])
     return accepted
+
+
+def _dominated_by(candidates: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Which candidates some other row dominates; both given column-major.
+
+    ``candidates`` is ``(d, c)`` and ``others`` ``(d, w)``.  Dominance is
+    built one dimension at a time from ``(c, w)`` comparisons, so no
+    ``(c, w, d)`` temporary is ever materialised.
+    """
+    shape = (candidates.shape[1], others.shape[1])
+    no_worse = np.ones(shape, dtype=bool)
+    better = np.zeros(shape, dtype=bool)
+    for cand, other in zip(candidates, others):
+        cand = cand[:, None]
+        no_worse &= other <= cand
+        better |= other < cand
+    return (no_worse & better).any(axis=1)
 
 
 def skyline_bitset(proj: np.ndarray) -> list[int]:

@@ -8,9 +8,11 @@ that would silently degrade into a slow brute force if broken.
 import numpy as np
 
 from repro.core.types import Dataset
+from repro.data import make_dataset
 from repro.index import SubskyIndex
+from repro.skyline.base import skyline_brute
 from repro.skyline.nn import skyline_nn
-from repro.skyline.numpy_skyline import chunked_sorted_skyline
+from repro.skyline.numpy_skyline import BITSET_MAX_ROWS, chunked_sorted_skyline
 from repro.skyline.sfs import monotone_order
 
 
@@ -50,6 +52,45 @@ class TestChunkedScan:
     def test_positions_refer_to_sorted_matrix(self):
         ordered = np.array([[0.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
         assert chunked_sorted_skyline(ordered) == [0]
+
+    def test_dominance_chain_inside_one_chunk(self):
+        # a < b < c all land in the first chunk with two incomparable rows;
+        # c's dominators (a and b) are never in the window when c is tested.
+        proj = np.array(
+            [[2.0, 2.0], [0.0, 5.0], [1.0, 1.0], [5.0, 0.0], [0.0, 0.0]]
+        )
+        ordered = proj[monotone_order(proj)]
+        expected = skyline_brute(ordered, None)
+        assert chunked_sorted_skyline(ordered) == expected == [0]
+        assert chunked_sorted_skyline(ordered, chunk=1) == expected
+
+    def test_duplicates_straddling_a_chunk_boundary(self):
+        ordered = np.array(
+            [[0.0, 6.0], [6.0, 0.0], [2.0, 5.0], [2.0, 5.0], [5.0, 5.0]]
+        )
+        assert list(monotone_order(ordered)) == list(range(5))
+        expected = skyline_brute(ordered, None)
+        assert expected == [0, 1, 2, 3]
+        # chunk=3 splits the duplicate pair (positions 2 and 3).
+        for chunk in (1, 2, 3, 4, 512):
+            assert chunked_sorted_skyline(ordered, chunk=chunk) == expected
+
+    def test_small_chunks_match_brute_force_on_a_large_skyline(self):
+        # Most rows are skyline rows, so nearly every candidate meets a
+        # window spread over many earlier chunks.
+        proj = make_dataset("anticorrelated", 400, 3, seed=2).minimized
+        ordered = proj[monotone_order(proj)]
+        expected = skyline_brute(ordered, None)
+        assert len(expected) > 100
+        for chunk in (1, 7, 64):
+            assert chunked_sorted_skyline(ordered, chunk=chunk) == expected
+
+    def test_tie_heavy_input_above_bitset_cutoff(self):
+        rng = np.random.default_rng(11)
+        proj = rng.integers(0, 4, size=(BITSET_MAX_ROWS + 1, 3)).astype(float)
+        order = monotone_order(proj)
+        positions = chunked_sorted_skyline(proj[order])
+        assert sorted(int(order[p]) for p in positions) == skyline_brute(proj, None)
 
 
 class TestNNRecursion:

@@ -1,7 +1,11 @@
 """Tests for the non-seed accommodation step (Theorem 5)."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import extension
 from repro.core.extension import closed_masks, share_and_beat_masks
 from repro.core.stellar import stellar
 from repro.core.types import Dataset
@@ -136,3 +140,86 @@ class TestDuplicateObjects:
         )
         assert group is not None
         assert group.members == frozenset({0, 1, 2})
+
+
+def _dense_share_maps(reps, subspaces, ns_matrix, ns_ids, pow2):
+    """Reference: one dense ``share_and_beat_masks`` call per group."""
+    maps = []
+    for rep, subspace in zip(reps, subspaces):
+        share, beat = share_and_beat_masks(ns_matrix, rep, int(subspace), pow2)
+        maps.append(
+            {
+                int(ns_ids[j]): int(share[j])
+                for j in np.flatnonzero((share != 0) & (beat == 0))
+            }
+        )
+    return maps
+
+
+@st.composite
+def _share_map_inputs(draw):
+    d = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 40))
+    n_groups = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["ties", "tie_free"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        ns_matrix = rng.integers(0, 3, size=(m, d)).astype(float)
+        reps = rng.integers(0, 3, size=(n_groups, d)).astype(float)
+    else:
+        # Every value distinct within a column, so a rep equals at most one
+        # non-seed per dimension (the reps are drawn from the same pool).
+        pool = rng.permutation(m + n_groups)[:, None] + 10.0 * np.arange(d)
+        ns_matrix, reps = pool[:m], pool[m:]
+    full = (1 << d) - 1
+    subspaces = np.array(
+        [draw(st.integers(1, full)) for _ in range(n_groups)], dtype=np.int64
+    )
+    ns_ids = np.sort(rng.choice(10 * (m + 1), size=m, replace=False))
+    return reps, subspaces, ns_matrix, ns_ids.astype(np.int64)
+
+
+class TestShareMapJoin:
+    """The equality-join share maps equal the dense per-group reference."""
+
+    @pytest.mark.parametrize("budget", [1, 7, extension._PAIR_BUDGET])
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=_share_map_inputs())
+    def test_matches_dense_reference(self, budget, inputs):
+        reps, subspaces, ns_matrix, ns_ids = inputs
+        pow2 = (1 << np.arange(ns_matrix.shape[1], dtype=np.int64)).astype(np.int64)
+        expected = _dense_share_maps(reps, subspaces, ns_matrix, ns_ids, pow2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extension, "_PAIR_BUDGET", budget)
+            got = extension._share_maps_block(
+                reps, subspaces, ns_matrix, ns_ids, pow2
+            )
+        assert got == expected
+        assert [list(g.items()) for g in got] == [list(e.items()) for e in expected]
+
+    def test_empty_nonseed_set(self):
+        pow2 = (1 << np.arange(3, dtype=np.int64)).astype(np.int64)
+        got = extension._share_maps_block(
+            np.ones((2, 3)),
+            np.array([0b111, 0b010], dtype=np.int64),
+            np.empty((0, 3)),
+            np.empty(0, dtype=np.int64),
+            pow2,
+        )
+        assert got == [{}, {}]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.random.default_rng(5).integers(0, 3, size=(120, 4)).astype(float),
+            np.random.default_rng(6).random((300, 3)),
+        ],
+        ids=["ties", "continuous"],
+    )
+    def test_pair_budget_of_one_leaves_stellar_unchanged(self, values):
+        ds = Dataset(values=values)
+        expected = stellar(ds, parallel="serial").groups
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extension, "_PAIR_BUDGET", 1)
+            assert stellar(ds, parallel="serial").groups == expected

@@ -10,6 +10,7 @@ verifiable in polynomial time via the Theorem 4 characterisation.
 import numpy as np
 import pytest
 
+from repro.core.extension import _share_maps_block
 from repro.core.stellar import stellar
 from repro.core.types import Dataset
 from repro.core.validate import (
@@ -114,6 +115,34 @@ class TestBeyond62Dimensions:
                 smaller = mask & ~(1 << d)
                 if mask >> d & 1 and smaller:
                     assert rolled[wide.format_subspace(smaller)] == brute(smaller)
+
+    def test_share_map_join_matches_brute_force(self):
+        """The Theorem-5 share-map join on the object-dtype ``pow2`` path."""
+        rng = np.random.default_rng(13)
+        d = 70
+        ns_matrix = rng.integers(0, 3, size=(25, d)).astype(float)
+        reps = rng.integers(0, 3, size=(6, d)).astype(float)
+        subspaces = np.array(
+            [(1 << d) - 1, 1 << 69, 1 << 63 | 1 << 2, (1 << d) - 1 - (1 << 40),
+             1 << 62 | 1 << 65 | 1, 0b111],
+            dtype=object,
+        )
+        ns_ids = np.arange(100, 125, dtype=np.int64)
+        pow2 = np.array([1 << k for k in range(d)], dtype=object)
+        got = _share_maps_block(reps, subspaces, ns_matrix, ns_ids, pow2)
+        expected = []
+        for rep, subspace in zip(reps, subspaces):
+            shares = {}
+            for row, ns_id in zip(ns_matrix, ns_ids):
+                dims = [k for k in range(d) if subspace >> k & 1]
+                share = sum(1 << k for k in dims if row[k] == rep[k])
+                beat = sum(1 << k for k in dims if row[k] < rep[k])
+                if share and not beat:
+                    shares[int(ns_id)] = share
+            expected.append(shares)
+        assert any(expected)
+        assert [list(g.items()) for g in got] == [list(e.items()) for e in expected]
+        assert all(type(m) is int for g in got for m in g.values())
 
     def test_ties_across_the_wide_space(self):
         """Two objects sharing 65 of 70 dimensions: the shared-subspace
