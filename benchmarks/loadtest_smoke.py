@@ -20,7 +20,7 @@ OpenMetrics scrape carries histogram exemplars whose trace ids are
 reassemblable from the sink, and at least one slow publish trace crosses
 client -> HTTP -> engine -> pool worker with ``repro trace
 critical-path`` phase attribution summing to the measured latency within
-10%.
+10% and no Stellar phase span left in the ``other`` bucket.
 
 Usage::
 
@@ -62,6 +62,14 @@ GATE_THRESHOLD = "4.0"
 #: deterministically kept, giving the smoke a guaranteed trace that
 #: crosses into the server's process-pool workers.
 TRACE_SLOW_MS = "50"
+#: Stellar's phase spans; critical-path must attribute each to a real
+#: phase (they inherit ``kernel`` from their ``stellar`` span).
+STELLAR_PHASES = {
+    "full_space_skyline",
+    "maximal_cgroups",
+    "seed_decisive",
+    "nonseed_extension",
+}
 
 
 def check(condition: bool, message: str) -> None:
@@ -132,6 +140,14 @@ def check_tracing(trace_dir: Path, om_type: str, om_scrape: str) -> None:
     check(
         "kernel" in analysis["phases"],
         "kernel (pool shard) phase attributed on the publish trace",
+    )
+    stellar_steps = [
+        step for step in analysis["steps"] if step["name"] in STELLAR_PHASES
+    ]
+    check(
+        bool(stellar_steps) and all(step["phase"] != "other" for step in stellar_steps),
+        f"{len(stellar_steps)} Stellar phase steps on the publish trace, "
+        "none classified 'other'",
     )
     pids = {step["pid"] for step in analysis["steps"]}
     check(len(pids) >= 3, f"trace spans {len(pids)} distinct processes")

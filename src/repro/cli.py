@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sky.add_argument(
         "--algorithm",
         default="auto",
-        choices=["auto", "brute", "bnl", "sfs", "nn", "numpy"],
+        choices=["auto", "brute", "sfs", "numpy"],
         help="skyline algorithm (default auto: sfs below 128 rows, else numpy)",
     )
 

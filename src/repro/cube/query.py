@@ -10,8 +10,8 @@ like the paper's flight-ticket narrative::
 
 Every query is observed (docs/OBSERVABILITY.md, *Serving observability*):
 it runs under a ``query.<family>.<kind>`` tracing span, feeds the
-``query.*`` metrics (latency histograms, per-counter totals), offers itself
-to the slow-query log, and produces a :class:`QueryPlan` describing *how*
+``query.*`` metrics (latency histograms, per-counter totals), offers its
+span to the slow-query log, and produces a :class:`QueryPlan` describing *how*
 it was resolved -- which of the paper's three resolution routes answered
 it (a decisive-subspace hit, a walk over the membership lattice, or the
 Theorem-5-style dominance fallback), how many groups were touched, and how
@@ -27,7 +27,6 @@ loop (2 vCPU, numpy 2.4), whose plan counters the index reproduces exactly.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -39,8 +38,8 @@ from ..core.types import Dataset, SkylineGroup
 from ..obs.context import current_trace_context
 from ..obs.logging import get_logger
 from ..obs.metrics import registry
-from ..obs.slowlog import SlowQuery, slow_query_log
-from ..obs.tracing import span
+from ..obs.slowlog import slow_query_log
+from ..obs.tracing import Tracer, current_tracer
 from .compressed import CompressedSkylineCube
 
 __all__ = [
@@ -287,41 +286,35 @@ class QueryEngine:
         ``strategy``, ``result_size`` and the work counters.  On exit the
         plan's counters are mirrored 1:1 into the metrics registry (so
         registry deltas equal the plan) and onto the span, the family
-        latency histogram gets exactly one observation, and the query is
-        offered to the process-global slow-query log.
+        latency histogram gets exactly one observation, and the finished
+        span is offered to the process-global slow-query log.
         """
         plan = QueryPlan(kind=kind, family=family, argument=argument)
         reg = registry()
         comparisons_before = COMPARISONS.value
-        t0 = time.perf_counter()
-        with span(f"query.{family}.{kind}", argument=argument) as sp:
+        # The slow log keeps this span, so record it even without ambient
+        # tracing (the same pattern as ``stellar()``).
+        tracer = current_tracer() or Tracer()
+        with tracer.span(f"query.{family}.{kind}", argument=argument) as sp:
             yield plan
             plan.count(
                 "dominance_comparisons", COMPARISONS.value - comparisons_before
             )
-            plan.seconds = time.perf_counter() - t0
             sp.annotate(strategy=plan.strategy, result_size=plan.result_size)
+            ctx = current_trace_context()
+            if ctx is not None and ctx.endpoint:
+                sp.annotate(endpoint=ctx.endpoint)
             for name, value in plan.counters.items():
                 if value:
                     sp.count(name, value)
+        plan.seconds = sp.duration_seconds
         _LATENCY[family].observe(plan.seconds)
         reg.counter(f"query.{family}.count").inc()
         for name, value in plan.counters.items():
             if value:
                 reg.counter(f"query.{name}").inc(value)
         reg.counter(f"query.strategy.{plan.strategy}").inc()
-        ctx = current_trace_context()
-        slow_query_log().record(
-            SlowQuery(
-                kind=f"{family}.{kind}",
-                argument=argument,
-                seconds=plan.seconds,
-                span_id=sp.span_id,
-                trace_id=ctx.trace_id if ctx is not None else "",
-                endpoint=ctx.endpoint if ctx is not None else "",
-                plan=plan.to_dict(),
-            )
-        )
+        slow_query_log().record(sp)
         self.last_plan = plan
         _LOG.debug(
             "query.served",

@@ -11,10 +11,9 @@ The measurement substrate for the whole library (see docs/OBSERVABILITY.md):
 * :mod:`repro.obs.profile` -- opt-in cProfile/tracemalloc attached to spans;
 * :mod:`repro.obs.logging` -- structured JSON log records correlated with
   span ids, with a process-wide configuration entry point;
-* :mod:`repro.obs.promexport` -- Prometheus text exposition of the metrics
-  registry plus a stdlib ``/metrics`` + ``/healthz`` HTTP endpoint;
-* :mod:`repro.obs.slowlog` -- bounded worst-N slow-query capture with
-  explain plans;
+* :mod:`repro.obs.promexport` -- Prometheus/OpenMetrics text exposition
+  of the metrics registry (served on ``/metrics`` by :mod:`repro.serve`);
+* :mod:`repro.obs.slowlog` -- bounded worst-N retention of query spans;
 * :mod:`repro.obs.flight` -- always-on bounded flight recorder dumped as
   NDJSON on crash, ``SIGUSR1``, or request;
 * :mod:`repro.obs.progress` -- live build progress (rate/ETA) plus a
@@ -95,7 +94,6 @@ from .promexport import (
     prometheus_name,
     render_openmetrics,
     render_prometheus,
-    start_metrics_server,
 )
 from .slo import (
     SLO,
@@ -108,7 +106,6 @@ from .slo import (
     latency_slo,
 )
 from .slowlog import (
-    SlowQuery,
     SlowQueryLog,
     configure_slow_query_log,
     reset_slow_queries,
@@ -200,7 +197,6 @@ __all__ = [
     "OPENMETRICS_CONTENT_TYPE",
     "PROMETHEUS_CONTENT_TYPE",
     "MetricsServer",
-    "start_metrics_server",
     # SLOs
     "SLO",
     "SLOEngine",
@@ -211,7 +207,6 @@ __all__ = [
     "availability_slo",
     "default_serving_slos",
     # slow-query log
-    "SlowQuery",
     "SlowQueryLog",
     "slow_query_log",
     "configure_slow_query_log",

@@ -5,8 +5,10 @@ Three renderings of the same span forest:
 * :func:`render_span_tree` -- box-drawing tree with durations, counters and
   attributes; what ``--trace`` (no file) prints.
 * :func:`spans_to_ndjson` / :func:`spans_from_ndjson` -- one JSON object per
-  span, parent links by id; line-oriented so traces can be grepped,
-  streamed, or diffed.  The pair round-trips exactly.
+  span in the trace sink's record format (:mod:`repro.obs.tracesink`);
+  line-oriented so traces can be grepped, streamed, diffed, or read by
+  ``repro trace``'s reassembly.  The pair round-trips, children in start
+  order.
 * :func:`spans_to_chrome_trace` -- the Chrome ``trace_event`` format
   (``{"traceEvents": [...]}`` with complete ``"ph": "X"`` events), loadable
   in ``about:tracing`` or https://ui.perfetto.dev.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .tracesink import assemble_trace, parse_span_records, span_records
 from .tracing import Span
 
 __all__ = [
@@ -76,69 +79,24 @@ def render_span_tree(spans: Span | list[Span]) -> str:
 
 
 def spans_to_ndjson(spans: Span | list[Span]) -> str:
-    """Serialise a span forest as newline-delimited JSON (one span per line).
+    """Serialise a span forest as NDJSON, one :func:`span_records` line each.
 
-    Each line carries ``id`` and ``parent`` (depth-first numbering) so the
-    tree is recoverable by :func:`spans_from_ndjson`.
+    The same flat format the trace sink stores: ``span_id`` /
+    ``parent_span_id`` links, so :func:`spans_from_ndjson` (or
+    :func:`~repro.obs.tracesink.assemble_trace`) rebuilds the trees.
     """
-    lines: list[str] = []
-    next_id = 0
-
-    def emit(span: Span, parent: int | None) -> None:
-        nonlocal next_id
-        sid = next_id
-        next_id += 1
-        payload = {
-            "id": sid,
-            "parent": parent,
-            "name": span.name,
-            "start_ns": span.start_ns,
-            "end_ns": span.end_ns,
-            "attributes": span.attributes,
-            "counters": span.counters,
-        }
-        if span.trace_id:
-            # Request-correlated spans also carry their stable cross-process
-            # ids so trace files can be joined against sink/flight records.
-            payload["trace_id"] = span.trace_id
-            payload["span_id"] = span.span_id
-            payload["parent_span_id"] = span.parent_span_id
-        lines.append(json.dumps(payload, sort_keys=True))
-        for child in span.children:
-            emit(child, sid)
-
-    for root in _as_list(spans):
-        emit(root, None)
+    lines = [
+        json.dumps(rec, sort_keys=True, default=str)
+        for root in _as_list(spans)
+        for rec in span_records(root, trace_id=root.trace_id, source="local")
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def spans_from_ndjson(text: str) -> list[Span]:
-    """Rebuild the span forest written by :func:`spans_to_ndjson`."""
-    by_id: dict[int, Span] = {}
-    roots: list[Span] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        payload = json.loads(line)
-        span = Span(
-            name=payload["name"],
-            start_ns=payload.get("start_ns", 0),
-            end_ns=payload.get("end_ns"),
-            attributes=dict(payload.get("attributes", {})),
-            counters=dict(payload.get("counters", {})),
-            trace_id=str(payload.get("trace_id", "")),
-        )
-        if "span_id" in payload:
-            span.span_id = int(payload["span_id"])
-            span.parent_span_id = int(payload.get("parent_span_id", 0))
-        by_id[payload["id"]] = span
-        parent = payload.get("parent")
-        if parent is None:
-            roots.append(span)
-        else:
-            by_id[parent].children.append(span)
-    return roots
+    """Rebuild the span forest of an NDJSON trace via ``assemble_trace``."""
+    records = parse_span_records(text.splitlines())
+    return [node.span for node in assemble_trace(records)]
 
 
 def spans_to_chrome_trace(spans: Span | list[Span]) -> dict:

@@ -1,6 +1,4 @@
-"""Prometheus text exposition of the metrics registry, plus a tiny server.
-
-Two pieces:
+"""Prometheus / OpenMetrics text exposition of the metrics registry.
 
 * :func:`render_prometheus` -- serialise a
   :class:`~repro.obs.metrics.MetricsRegistry` in the Prometheus text
@@ -8,23 +6,20 @@ Two pieces:
   verbatim, histograms as cumulative ``_bucket{le="..."}`` series with
   ``_sum`` and ``_count``.  Metric names are prefixed ``repro_`` and
   sanitised (dots become underscores) so the output scrapes cleanly.
-* :func:`start_metrics_server` -- a stdlib :mod:`http.server` endpoint
-  serving ``/metrics`` (the rendering above) and ``/healthz`` (a JSON
-  liveness document) from a daemon thread.  No third-party dependency;
-  good enough for a sidecar scrape or a CI health check, not a hardened
-  public listener.
+* :func:`render_openmetrics` -- the OpenMetrics 1.0 variant with trace-id
+  exemplars; :func:`negotiate_exposition` picks one by ``Accept`` header.
 
-``examples/subspace_query_service.py`` mounts the endpoint next to its
-query loop; the CI bench-smoke job scrapes it once and archives the result.
+The one HTTP endpoint serving them is :func:`repro.serve.start_server`
+(``/metrics`` next to ``/healthz`` and the query API); it returns a
+:class:`MetricsServer` handle.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import HTTPServer
 from typing import Callable
 
 from .metrics import Histogram, MetricsRegistry, registry
@@ -37,7 +32,6 @@ __all__ = [
     "OPENMETRICS_CONTENT_TYPE",
     "PROMETHEUS_CONTENT_TYPE",
     "MetricsServer",
-    "start_metrics_server",
 ]
 
 #: Content types for the two supported exposition formats.
@@ -192,48 +186,13 @@ def negotiate_exposition(accept: str | None) -> tuple[str, Callable[..., str]]:
     return PROMETHEUS_CONTENT_TYPE, render_prometheus
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """GET-only handler for ``/metrics`` and ``/healthz``."""
-
-    # Injected by start_metrics_server via type(); silence the defaults.
-    registry_fn: Callable[[], MetricsRegistry]
-    health_fn: Callable[[], dict]
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        path = self.path.split("?", 1)[0]
-        if path == "/metrics":
-            content_type, render = negotiate_exposition(
-                self.headers.get("Accept")
-            )
-            body = render(self.registry_fn()).encode()
-            self._reply(200, content_type, body)
-        elif path == "/healthz":
-            body = (json.dumps(self.health_fn()) + "\n").encode()
-            self._reply(200, "application/json", body)
-        else:
-            self._reply(404, "text/plain", b"not found\n")
-
-    def _reply(self, status: int, content_type: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args: object) -> None:
-        """Route access logs through the structured logger, not stderr."""
-        from .logging import get_logger
-
-        get_logger("obs.http").debug(format % args)
-
-
 class MetricsServer:
-    """A running ``/metrics`` + ``/healthz`` endpoint on a daemon thread.
+    """A running HTTP server on a daemon thread (``start_server``'s handle).
 
     Usable as a context manager; :meth:`close` is idempotent.
     """
 
-    def __init__(self, server: ThreadingHTTPServer, thread: threading.Thread):
+    def __init__(self, server: HTTPServer, thread: threading.Thread):
         self._server = server
         self._thread = thread
 
@@ -264,45 +223,3 @@ class MetricsServer:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-
-def start_metrics_server(
-    port: int = 0,
-    host: str = "127.0.0.1",
-    reg: MetricsRegistry | None = None,
-    health: Callable[[], dict] | None = None,
-) -> MetricsServer:
-    """Serve ``/metrics`` and ``/healthz`` in the background; returns a handle.
-
-    Parameters
-    ----------
-    port:
-        TCP port; 0 picks an ephemeral one (read it back via ``.port``).
-    host:
-        Bind address; loopback by default -- pass ``"0.0.0.0"`` only when
-        the endpoint should be reachable from other hosts.
-    reg:
-        Registry to expose; the process-global one when omitted.
-    health:
-        Callable returning the ``/healthz`` JSON document; defaults to
-        ``{"status": "ok"}``.
-    """
-    fixed_reg = reg
-
-    def registry_fn() -> MetricsRegistry:
-        return fixed_reg if fixed_reg is not None else registry()
-
-    handler = type(
-        "BoundMetricsHandler",
-        (_Handler,),
-        {
-            "registry_fn": staticmethod(registry_fn),
-            "health_fn": staticmethod(health or (lambda: {"status": "ok"})),
-        },
-    )
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    thread = threading.Thread(
-        target=server.serve_forever, name="repro-metrics", daemon=True
-    )
-    thread.start()
-    return MetricsServer(server, thread)

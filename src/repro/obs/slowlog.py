@@ -1,12 +1,14 @@
-"""Slow-query log: retain the N worst queries with their explain plans.
+"""Slow-query log: retain the spans of the N worst queries.
 
 A bounded, always-on capture of the most expensive queries the process has
-served.  The :class:`SlowQueryLog` keeps the ``capacity`` worst entries by
-duration (a min-heap of the retained set, so recording is O(log N) and a
-fast query that does not beat the current floor costs one comparison), each
-entry carrying the query kind, its argument, the wall-clock duration, the
-correlation ``span_id``, and the resolution plan the query engine produced
--- everything needed to replay or explain the outlier after the fact.
+served.  The :class:`SlowQueryLog` keeps the ``capacity`` worst query
+:class:`~repro.obs.tracing.Span` objects by duration (a min-heap of the
+retained set, so recording is O(log N) and a fast query that does not beat
+the current floor costs one comparison).  The span already carries
+everything needed to replay or explain the outlier after the fact: its name
+(``query.<family>.<kind>``), the ``argument``/``strategy``/``endpoint``
+attributes, the plan's work counters, and the ``span_id``/``trace_id`` that
+join it to logs and kept traces.
 
 The process-global instance (:func:`slow_query_log`) is fed by
 :class:`repro.cube.query.QueryEngine`, dumped by the CLI ``--slowlog``
@@ -16,11 +18,11 @@ flag, and printed by ``examples/subspace_query_service.py`` on shutdown.
 from __future__ import annotations
 
 import heapq
-import time
-from dataclasses import dataclass, field
+import threading
+
+from .tracing import Span
 
 __all__ = [
-    "SlowQuery",
     "SlowQueryLog",
     "slow_query_log",
     "configure_slow_query_log",
@@ -31,81 +33,45 @@ __all__ = [
 DEFAULT_CAPACITY = 32
 
 
-@dataclass(frozen=True)
-class SlowQuery:
-    """One retained query: what ran, how long it took, and its plan."""
-
-    kind: str
-    argument: str
-    seconds: float
-    span_id: int = 0
-    #: Request trace id ("" when the query ran outside any request).
-    trace_id: str = ""
-    #: Serving endpoint that issued the query ("" for direct CLI queries).
-    endpoint: str = ""
-    when: float = field(default_factory=time.time)
-    plan: dict | None = None
-
-    def to_dict(self) -> dict:
-        """JSON-friendly representation (what the service dump writes)."""
-        return {
-            "kind": self.kind,
-            "argument": self.argument,
-            "seconds": self.seconds,
-            "span_id": self.span_id,
-            "trace_id": self.trace_id,
-            "endpoint": self.endpoint,
-            "when": self.when,
-            "plan": self.plan,
-        }
-
-
 class SlowQueryLog:
-    """Bounded worst-N-by-duration retention of served queries."""
+    """Bounded worst-N-by-duration retention of finished query spans."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, threshold: float = 0.0):
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {threshold}")
         self.capacity = capacity
-        #: Minimum duration (seconds) a query needs to be considered at all.
-        self.threshold = threshold
         #: Total queries offered to :meth:`record` (retained or not).
         self.seen = 0
-        # Min-heap of (seconds, sequence, entry): the root is the cheapest
+        # Min-heap of (seconds, sequence, span): the root is the cheapest
         # retained query, i.e. the one a slower newcomer evicts.
-        self._heap: list[tuple[float, int, SlowQuery]] = []
+        self._heap: list[tuple[float, int, Span]] = []
         self._seq = 0
+        # Serve's handler threads share the global log.
+        self._lock = threading.Lock()
 
-    def record(self, entry: SlowQuery) -> bool:
-        """Offer one query; returns True when it was retained."""
-        self.seen += 1
-        if entry.seconds < self.threshold:
-            return False
-        self._seq += 1
-        item = (entry.seconds, self._seq, entry)
-        if len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, item)
+    def record(self, sp: Span) -> bool:
+        """Offer one finished query span; returns True when it was retained."""
+        seconds = sp.duration_seconds
+        with self._lock:
+            self.seen += 1
+            self._seq += 1
+            item = (seconds, self._seq, sp)
+            if len(self._heap) < self.capacity:
+                heapq.heappush(self._heap, item)
+                return True
+            if seconds <= self._heap[0][0]:
+                return False
+            heapq.heapreplace(self._heap, item)
             return True
-        if entry.seconds <= self._heap[0][0]:
-            return False
-        heapq.heapreplace(self._heap, item)
-        return True
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def entries(self) -> list[SlowQuery]:
-        """Retained queries, worst (slowest) first."""
-        return [
-            item[2]
-            for item in sorted(self._heap, key=lambda it: (-it[0], it[1]))
-        ]
-
-    def to_dicts(self) -> list[dict]:
-        """JSON-friendly dump, worst first."""
-        return [entry.to_dict() for entry in self.entries()]
+    def entries(self) -> list[Span]:
+        """Retained query spans, worst (slowest) first."""
+        with self._lock:
+            items = list(self._heap)
+        return [item[2] for item in sorted(items, key=lambda it: (-it[0], it[1]))]
 
     def render(self, limit: int | None = None) -> str:
         """Human-readable report (the CLI ``--slowlog`` output)."""
@@ -118,28 +84,29 @@ class SlowQueryLog:
             f"slow-query log: {len(entries)} of {self.seen} queries "
             f"(capacity {self.capacity})"
         ]
-        for i, e in enumerate(entries, 1):
+        for i, sp in enumerate(entries, 1):
+            attrs = sp.attributes
+            kind = sp.name.removeprefix("query.")
             line = (
-                f"{i:3d}. {e.seconds * 1e3:9.3f} ms  {e.kind}"
-                f"({e.argument})  span_id={e.span_id}"
+                f"{i:3d}. {sp.duration_seconds * 1e3:9.3f} ms  {kind}"
+                f"({attrs.get('argument', '')})  span_id={sp.span_id}"
             )
-            if e.trace_id:
-                line += f"  trace_id={e.trace_id}"
-            if e.endpoint:
-                line += f"  endpoint={e.endpoint}"
+            if sp.trace_id:
+                line += f"  trace_id={sp.trace_id}"
+            if attrs.get("endpoint"):
+                line += f"  endpoint={attrs['endpoint']}"
             lines.append(line)
-            if e.plan:
-                strategy = e.plan.get("strategy", "?")
-                counters = e.plan.get("counters", {})
-                detail = ", ".join(f"{k}={v}" for k, v in counters.items())
-                lines.append(f"      plan: {strategy}  [{detail}]")
+            if "strategy" in attrs:
+                detail = ", ".join(f"{k}={v}" for k, v in sp.counters.items())
+                lines.append(f"      plan: {attrs['strategy']}  [{detail}]")
         return "\n".join(lines)
 
     def clear(self) -> None:
         """Drop every retained entry and zero the seen count."""
-        self._heap = []
-        self._seq = 0
-        self.seen = 0
+        with self._lock:
+            self._heap = []
+            self._seq = 0
+            self.seen = 0
 
 
 #: The process-global slow-query log fed by the query engine.
@@ -151,18 +118,15 @@ def slow_query_log() -> SlowQueryLog:
     return _SLOW_LOG
 
 
-def configure_slow_query_log(
-    capacity: int | None = None, threshold: float | None = None
-) -> SlowQueryLog:
-    """Re-create the global log with a new capacity and/or threshold.
+def configure_slow_query_log(capacity: int | None = None) -> SlowQueryLog:
+    """Re-create the global log with a new capacity.
 
     Previously retained entries are dropped (the retention invariant of
     the old capacity does not transfer).  Returns the new instance.
     """
     global _SLOW_LOG
     _SLOW_LOG = SlowQueryLog(
-        capacity=capacity if capacity is not None else _SLOW_LOG.capacity,
-        threshold=threshold if threshold is not None else _SLOW_LOG.threshold,
+        capacity=capacity if capacity is not None else _SLOW_LOG.capacity
     )
     return _SLOW_LOG
 

@@ -42,6 +42,7 @@ from .tracing import Span
 __all__ = [
     "TraceSink",
     "span_records",
+    "parse_span_records",
     "list_traces",
     "load_trace",
     "assemble_trace",
@@ -70,19 +71,26 @@ def span_records(
 ) -> list[dict]:
     """Flatten a span tree into sink-ready records (depth-first).
 
+    This is the one NDJSON span format: the trace sink appends these
+    records and :func:`repro.obs.export.write_trace` writes them to
+    ``*.ndjson`` files.  Each child links to its tree parent by
+    ``parent_span_id``; the root keeps its own (the caller's span across a
+    process boundary, 0 for a true root).
+
     A span carrying a ``pid`` attribute keeps it as the record's pid --
     that is how pool-worker shard spans, reconstructed in the parent
     process by :func:`repro.parallel.map_shards`, stay attributed to the
     worker that actually ran them.
     """
     pid = os.getpid() if pid is None else pid
-    records = []
-    for sp in root.walk():
+    records: list[dict] = []
+
+    def emit(sp: Span, parent_span_id: int) -> None:
         records.append(
             {
                 "trace_id": trace_id,
                 "span_id": sp.span_id,
-                "parent_span_id": sp.parent_span_id,
+                "parent_span_id": parent_span_id,
                 "name": sp.name,
                 "start_ns": sp.start_ns,
                 "end_ns": sp.end_ns,
@@ -92,6 +100,10 @@ def span_records(
                 "pid": int(sp.attributes.get("pid", pid)),
             }
         )
+        for child in sp.children:
+            emit(child, sp.span_id)
+
+    emit(root, root.parent_span_id)
     return records
 
 
@@ -236,18 +248,23 @@ def load_trace(root: str | Path, trace_id: str) -> list[dict]:
     path = Path(root) / f"{trace_id}.ndjson"
     if not path.exists():
         return []
-    records = []
     with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail line from a crashed writer
-            if isinstance(rec, dict) and "span_id" in rec:
-                records.append(rec)
+        return parse_span_records(fh)
+
+
+def parse_span_records(lines: Iterable[str]) -> list[dict]:
+    """Parse NDJSON lines into span records, skipping unparseable ones."""
+    records = []
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError:
+            continue  # torn tail line from a crashed writer
+        if isinstance(rec, dict) and "span_id" in rec:
+            records.append(rec)
     return records
 
 
@@ -315,8 +332,13 @@ def assemble_trace(records: Sequence[Mapping]) -> list[TraceNode]:
 PHASES = ("client", "admission", "cache", "scan", "kernel", "serve", "other")
 
 
-def classify_phase(name: str) -> str:
-    """Attribute one span's self-time to a wall-clock phase."""
+def classify_phase(name: str, inherited: str = "other") -> str:
+    """Attribute one span's self-time to a wall-clock phase.
+
+    A name no rule matches takes ``inherited``, its nearest ancestor's
+    phase: Stellar's phase spans (``full_space_skyline``, ...) count as the
+    ``kernel`` of the ``stellar`` span they run under.
+    """
     if name.startswith("client."):
         return "client"
     if name == "serve.admission.wait":
@@ -329,13 +351,16 @@ def classify_phase(name: str) -> str:
         return "kernel"
     if name.startswith("serve."):
         return "serve"
-    return "other"
+    return inherited
 
 
 def _attribute_node(
-    node: TraceNode, scale: float, out: list[tuple[TraceNode, float]]
+    node: TraceNode,
+    scale: float,
+    out: list[tuple[TraceNode, str, float]],
+    inherited: str = "other",
 ) -> None:
-    """Wall-clock attribution of ``node``'s subtree (self-time in ns).
+    """Wall-clock attribution of ``node``'s subtree: (node, phase, self ns).
 
     A sweep over the direct children's intervals (clamped to the parent)
     splits instants covered by k overlapping children -- parallel shards
@@ -363,13 +388,14 @@ def _attribute_node(
         covered += b - a
         for i in active:
             shares[i] += (b - a) / len(active)
-    out.append((node, scale * max(0, duration - covered)))
+    phase = classify_phase(sp.name, inherited)
+    out.append((node, phase, scale * max(0, duration - covered)))
     for i, child in enumerate(node.children):
         c = child.span
         c_end = c.end_ns if c.end_ns is not None else c.start_ns
         c_duration = max(0, c_end - c.start_ns)
         child_scale = scale * (shares[i] / c_duration) if c_duration else 0.0
-        _attribute_node(child, child_scale, out)
+        _attribute_node(child, child_scale, out, phase)
 
 
 def critical_path(roots: Sequence[TraceNode]) -> dict:
@@ -386,12 +412,11 @@ def critical_path(roots: Sequence[TraceNode]) -> dict:
     total = 0.0
     for root in roots:
         total += root.span.duration_seconds
-        entries: list[tuple[TraceNode, float]] = []
+        entries: list[tuple[TraceNode, str, float]] = []
         _attribute_node(root, 1.0, entries)
-        for node, self_ns in entries:
+        for node, phase, self_ns in entries:
             sp = node.span
             self_s = self_ns / 1e9
-            phase = classify_phase(sp.name)
             phases[phase] = phases.get(phase, 0.0) + self_s
             steps.append(
                 {

@@ -76,10 +76,10 @@ class Span:
     """One timed region: name, monotonic interval, attributes, children.
 
     ``span_id`` is a process-unique correlation id: structured log records
-    (:mod:`repro.obs.logging`) and slow-query entries
-    (:mod:`repro.obs.slowlog`) carry it so they can be joined back to the
-    trace.  It is excluded from equality so exporter round-trips (which
-    allocate fresh ids on load) still compare equal field-for-field.
+    (:mod:`repro.obs.logging`) carry it so they can be joined back to the
+    trace, and NDJSON span records link to their parent by it.  It is
+    excluded from equality so :meth:`from_dict` round-trips (which
+    allocate fresh ids) still compare equal field-for-field.
     """
 
     name: str

@@ -19,8 +19,8 @@ The HTTP layer is a thin JSON façade over the service on the stdlib
 ``/v1/signature``, ``/v1/top-frequent``, ``/v1/explain``, ``/v1/diff``
 (temporal cube diff across published versions), ``/v1/snapshots``
 (list/publish/activate), ``/v1/maintenance`` (insert/delete/compact),
-plus the ``/metrics`` and ``/healthz`` documents of
-:mod:`repro.obs.promexport`.  Every response echoes the ``cube_version``
+plus ``/healthz`` and ``/metrics`` (rendered by
+:mod:`repro.obs.promexport`).  Every response echoes the ``cube_version``
 that produced it, so clients (and the concurrency tests) can pin results
 to cube generations.
 
@@ -1133,7 +1133,7 @@ def start_server(
 ) -> MetricsServer:
     """Serve the full API in the background; returns a closeable handle.
 
-    The handle is the same daemon-thread wrapper the metrics endpoint uses
+    The handle is a :class:`~repro.obs.promexport.MetricsServer`
     (``.url``, ``.port``, context-manager ``close``); ``port=0`` binds an
     ephemeral port.
     """

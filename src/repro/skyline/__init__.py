@@ -1,10 +1,8 @@
 """Full-space and subspace skyline algorithms (substrate).
 
 The paper's Stellar algorithm needs one skyline computation in the full
-space; its Skyey baseline needs one per subspace.  The registry holds
-:mod:`~repro.skyline.bnl` (Borzsonyi et al., ICDE'01) and
-:mod:`~repro.skyline.nn` (Kossmann et al., VLDB'02), which nothing runs,
-and the three algorithms something runs:
+space; its Skyey baseline needs one per subspace.  The registry holds three
+algorithms:
 
 * :func:`repro.skyline.base.skyline_brute` -- the quadratic reference every
   other algorithm is tested against;

@@ -16,8 +16,6 @@ from ..parallel import (
     resolve_parallel,
 )
 from .base import skyline_brute, subspace_columns
-from .bnl import skyline_bnl
-from .nn import skyline_nn
 from .numpy_skyline import skyline_numpy
 from .sfs import skyline_sfs
 
@@ -27,12 +25,10 @@ SkylineFn = Callable[[np.ndarray, int | None], list[int]]
 
 #: All registered skyline algorithms, by name: ``brute`` is the test
 #: oracle, ``sfs`` serves small inputs and the naive-cube oracle, and
-#: ``numpy`` runs every build at scale; nothing runs ``bnl`` or ``nn``.
+#: ``numpy`` runs every build at scale.
 SKYLINE_ALGORITHMS: dict[str, SkylineFn] = {
     "brute": skyline_brute,
-    "bnl": skyline_bnl,
     "sfs": skyline_sfs,
-    "nn": skyline_nn,
     "numpy": skyline_numpy,
 }
 

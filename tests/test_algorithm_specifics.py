@@ -11,7 +11,6 @@ from repro.core.types import Dataset
 from repro.data import make_dataset
 from repro.index import SubskyIndex
 from repro.skyline.base import skyline_brute
-from repro.skyline.nn import skyline_nn
 from repro.skyline.numpy_skyline import BITSET_MAX_ROWS, chunked_sorted_skyline
 from repro.skyline.sfs import monotone_order
 
@@ -91,22 +90,6 @@ class TestChunkedScan:
         order = monotone_order(proj)
         positions = chunked_sorted_skyline(proj[order])
         assert sorted(int(order[p]) for p in positions) == skyline_brute(proj, None)
-
-
-class TestNNRecursion:
-    def test_minimum_sum_point_is_first_found(self):
-        m = np.array([[4.0, 4.0], [1.0, 1.0], [0.0, 3.0]])
-        assert 1 in skyline_nn(m, None)
-
-    def test_all_duplicates_collapse_to_one_call(self):
-        m = np.ones((30, 3))
-        assert skyline_nn(m, None) == list(range(30))
-
-    def test_deep_antichain(self):
-        n = 40
-        m = np.column_stack([np.arange(n, dtype=float),
-                             np.arange(n, dtype=float)[::-1]])
-        assert skyline_nn(m, None) == list(range(n))
 
 
 class TestSubskyScanDepthMonotonicity:

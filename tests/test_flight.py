@@ -33,7 +33,6 @@ from repro.obs import (
     render_prometheus,
     reset_metrics,
     start_heartbeat,
-    start_metrics_server,
     stop_heartbeat,
     summarize_flight_dump,
     tick,
@@ -42,6 +41,7 @@ from repro.obs import (
 from repro.obs.flight import FlightRecorder
 from repro.obs.progress import Heartbeat, cpu_seconds, rss_bytes
 from repro.parallel import ParallelConfig, map_shards
+from repro.serve import CubeService, SnapshotStore, start_server
 
 
 @pytest.fixture
@@ -391,10 +391,13 @@ class TestMidBuildScrape:
         reg.info("build.phase")
         assert "build_phase" not in render_prometheus(reg)
 
-    def test_scrape_mid_build_reports_phase_and_vitals(self, clean_telemetry):
+    def test_scrape_mid_build_reports_phase_and_vitals(
+        self, clean_telemetry, tmp_path
+    ):
         reset_metrics()
         hb = Heartbeat(interval=60)
-        with start_metrics_server() as server:
+        service = CubeService(SnapshotStore(tmp_path / "snaps"))
+        with start_server(service) as server:
             with ProgressTask("nonseed_extension", total=40) as task:
                 task.advance(25)
                 task.emit(force=True)
@@ -406,7 +409,7 @@ class TestMidBuildScrape:
         assert "repro_build_items_total 40" in body
         assert "repro_process_rss_bytes" in body
 
-    def test_concurrent_scrapes_while_build_advances(self, clean_telemetry):
+    def test_concurrent_scrapes_while_build_advances(self, clean_telemetry, tmp_path):
         reset_metrics()
         errors: list[str] = []
         bodies: list[str] = []
@@ -424,7 +427,8 @@ class TestMidBuildScrape:
                     errors.append(repr(exc))
                     return
 
-        with start_metrics_server() as server:
+        service = CubeService(SnapshotStore(tmp_path / "snaps"))
+        with start_server(service) as server:
             threads = [
                 threading.Thread(target=scrape, args=(server.url,))
                 for _ in range(4)

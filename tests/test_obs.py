@@ -232,9 +232,10 @@ class TestExport:
     def test_ndjson_is_line_oriented_json(self):
         lines = spans_to_ndjson(_sample_trace()).strip().splitlines()
         assert len(lines) == 4  # root + child-a + child-b + leaf
+        required = {"span_id", "parent_span_id", "name", "start_ns", "end_ns"}
         for line in lines:
             payload = json.loads(line)
-            assert {"id", "parent", "name", "start_ns", "end_ns"} <= set(payload)
+            assert required <= set(payload)
 
     def test_chrome_trace_structure(self):
         doc = spans_to_chrome_trace(_sample_trace())

@@ -1,7 +1,7 @@
 """Tests for the query-serving observability layer.
 
-Covers structured JSON logging (repro.obs.logging), Prometheus export and
-the /metrics endpoint (repro.obs.promexport), the slow-query log
+Covers structured JSON logging (repro.obs.logging), Prometheus export
+(repro.obs.promexport) and serve's /metrics endpoint, the slow-query log
 (repro.obs.slowlog), EXPLAIN plans and the plan<->metrics-registry counter
 equality of the query engine, the exporter round-trips under the new query
 spans, and the benchmark trajectory ledger with its CLI diff gate.
@@ -10,6 +10,7 @@ spans, and the benchmark trajectory ledger with its CLI diff gate.
 import io
 import json
 import re
+import threading
 import urllib.error
 import urllib.request
 
@@ -50,10 +51,11 @@ from repro.obs import (
     spans_from_ndjson,
     spans_to_chrome_trace,
     spans_to_ndjson,
-    start_metrics_server,
     write_trace,
 )
-from repro.obs.slowlog import SlowQuery, SlowQueryLog
+from repro.obs.slowlog import SlowQueryLog
+from repro.obs.tracing import Span
+from repro.serve import CubeService, SnapshotStore, start_server
 from repro.parallel.backend import _init_worker
 
 
@@ -63,12 +65,12 @@ def _clean_observability():
     disable_tracing()
     reset_metrics()
     reset_logging()
-    configure_slow_query_log(capacity=32, threshold=0.0)
+    configure_slow_query_log(capacity=32)
     yield
     disable_tracing()
     reset_metrics()
     reset_logging()
-    configure_slow_query_log(capacity=32, threshold=0.0)
+    configure_slow_query_log(capacity=32)
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +239,11 @@ class TestPrometheusExport:
                 continue
             assert _SAMPLE_RE.match(line), f"unparseable sample line: {line!r}"
 
-    def test_metrics_endpoint(self, running_example):
+    def test_metrics_endpoint(self, running_example, tmp_path):
         engine = QueryEngine.build(running_example)
         engine.skyline("A")
-        with start_metrics_server() as server:
+        service = CubeService(SnapshotStore(tmp_path / "snaps"))
+        with start_server(service) as server:
             with urllib.request.urlopen(f"{server.url}/metrics", timeout=5) as rsp:
                 assert rsp.status == 200
                 assert rsp.headers["Content-Type"].startswith(
@@ -261,15 +264,22 @@ class TestPrometheusExport:
 # ---------------------------------------------------------------------------
 
 
+def _query_span(seconds, name="query.q1.skyline", **attributes):
+    """A finished query span lasting ``seconds``."""
+    return Span(
+        name=name, start_ns=0, end_ns=round(seconds * 1e9), attributes=attributes
+    )
+
+
 class TestSlowQueryLog:
     def _q(self, seconds, i=0):
-        return SlowQuery(kind="q1.skyline", argument=f"arg{i}", seconds=seconds)
+        return _query_span(seconds, argument=f"arg{i}")
 
     def test_retains_worst_n(self):
         log = SlowQueryLog(capacity=3)
         for i, seconds in enumerate([0.5, 0.1, 0.9, 0.3, 0.7]):
             log.record(self._q(seconds, i))
-        assert [e.seconds for e in log.entries()] == [0.9, 0.7, 0.5]
+        assert [e.duration_seconds for e in log.entries()] == [0.9, 0.7, 0.5]
         assert log.seen == 5
 
     def test_fast_queries_do_not_evict(self):
@@ -277,29 +287,43 @@ class TestSlowQueryLog:
         log.record(self._q(0.9))
         log.record(self._q(0.8))
         assert log.record(self._q(0.1)) is False
-        assert [e.seconds for e in log.entries()] == [0.9, 0.8]
-
-    def test_threshold_filters(self):
-        log = SlowQueryLog(capacity=8, threshold=0.25)
-        assert log.record(self._q(0.1)) is False
-        assert log.record(self._q(0.5)) is True
-        assert len(log) == 1 and log.seen == 2
+        assert [e.duration_seconds for e in log.entries()] == [0.9, 0.8]
 
     def test_render_and_clear(self):
         log = SlowQueryLog(capacity=2)
-        log.record(
-            SlowQuery(
-                kind="q2.why_not",
-                argument="P2 in A",
-                seconds=0.01,
-                plan={"strategy": "theorem5-fallback", "counters": {"x": 1}},
-            )
+        sp = _query_span(
+            0.01,
+            name="query.q2.why_not",
+            argument="P2 in A",
+            strategy="theorem5-fallback",
         )
+        sp.count("x", 1)
+        log.record(sp)
         text = log.render()
         assert "q2.why_not(P2 in A)" in text
         assert "theorem5-fallback" in text
+        assert "[x=1]" in text
         log.clear()
         assert log.render() == "(no queries recorded)"
+
+    def test_concurrent_records_stay_bounded(self):
+        log = SlowQueryLog(capacity=4)
+        per_thread = 500
+
+        def offer(t):
+            for i in range(per_thread):
+                log.record(self._q((t * per_thread + i) * 1e-6))
+
+        threads = [threading.Thread(target=offer, args=(t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(log) <= log.capacity
+        assert log.seen == 8 * per_thread
+        worst = [e.duration_seconds for e in log.entries()]
+        top = [(8 * per_thread - k) * 1e-6 for k in range(1, 5)]
+        assert worst == pytest.approx(top)
 
     def test_engine_feeds_global_log(self, running_example):
         engine = QueryEngine.build(running_example)
@@ -307,8 +331,12 @@ class TestSlowQueryLog:
         engine.skyline("A,B")
         engine.where_wins("P5")
         entries = slow_query_log().entries()
-        assert {e.kind for e in entries} == {"q1.skyline", "q2.where_wins"}
-        assert all(e.plan and e.plan["strategy"] for e in entries)
+        assert {e.name for e in entries} == {
+            "query.q1.skyline",
+            "query.q2.where_wins",
+        }
+        assert all(e.attributes["strategy"] for e in entries)
+        assert all(e.span_id for e in entries)
 
 
 # ---------------------------------------------------------------------------

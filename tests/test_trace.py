@@ -18,7 +18,9 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.core.stellar import stellar
 from repro.cube import CompressedSkylineCube
+from repro.data import save_csv
 from repro.loadtest.report import slowest, summarize
 from repro.loadtest.runner import (
     LoadtestConfig,
@@ -61,6 +63,12 @@ from repro.serve import AdmissionController, CubeService, SnapshotStore
 _FORK = "fork" in multiprocessing.get_all_start_methods()
 
 TID = "0af7651916cd43dd8448eb211c80319c"
+STELLAR_PHASES = (
+    "full_space_skyline",
+    "maximal_cgroups",
+    "seed_decisive",
+    "nonseed_extension",
+)
 
 
 @pytest.fixture(autouse=True)
@@ -408,6 +416,23 @@ class TestAssembleAndCriticalPath:
         (rec,) = span_records(sp, trace_id=TID, pid=1)
         assert rec["pid"] == 4242
 
+    def test_stellar_phases_inherit_kernel_under_a_request(self, running_example):
+        tracer = Tracer()
+        with tracer.span("serve.request") as root:
+            stellar(running_example)
+        out = critical_path(assemble_trace(span_records(root, trace_id=TID)))
+        assert "other" not in out["phases"]
+        phase_of = {step["name"]: step["phase"] for step in out["steps"]}
+        for name in STELLAR_PHASES:
+            assert phase_of[name] == "kernel"
+
+    def test_unparented_span_record_links_to_its_tree_parent(self):
+        # Shard spans rebuilt from worker clocks carry no parent_span_id.
+        root = _span("parallel.map", 0, 10, 1)
+        root.children.append(Span(name="shard", start_ns=1, end_ns=9))
+        (node,) = assemble_trace(span_records(root, trace_id=TID))
+        assert [c.span.name for c in node.children] == ["shard"]
+
 
 # -- OpenMetrics exemplars ---------------------------------------------------
 
@@ -450,7 +475,7 @@ class TestOpenMetrics:
 
 class TestSlowlogTraceIds:
     def test_entries_carry_trace_id_and_endpoint(self, service):
-        configure_slow_query_log(capacity=16, threshold=0.0)
+        configure_slow_query_log(capacity=16)
         try:
             service.handle_http(
                 "GET", "/v1/skyline", {"subspace": ["price"]}, {},
@@ -460,11 +485,11 @@ class TestSlowlogTraceIds:
             assert entries
             worst = entries[0]
             assert worst.trace_id == TID
-            assert worst.endpoint == "/v1/skyline"
+            assert worst.attributes["endpoint"] == "/v1/skyline"
             rendered = slow_query_log().render()
             assert f"trace_id={TID}" in rendered
         finally:
-            configure_slow_query_log(capacity=16, threshold=0.0)
+            configure_slow_query_log(capacity=16)
             slow_query_log().clear()
 
 
@@ -516,6 +541,32 @@ class TestReportSlowest:
 
 
 # -- repro trace CLI ---------------------------------------------------------
+
+
+class TestTraceFile:
+    def test_ndjson_trace_file_reassembles_the_traced_trees(
+        self, running_example, tmp_path, monkeypatch
+    ):
+        import repro.obs
+
+        written = []
+        real_write_trace = repro.obs.write_trace
+
+        def spy(path, spans):
+            written.append(list(spans))
+            return real_write_trace(path, spans)
+
+        monkeypatch.setattr(repro.obs, "write_trace", spy)
+        csv = tmp_path / "d.csv"
+        save_csv(running_example, csv)
+        path = tmp_path / "x.ndjson"
+        assert main(["run", "--input", str(csv), "--trace", str(path)]) == 0
+        (traced,) = written
+        with path.open() as fh:
+            records = [json.loads(line) for line in fh]
+        roots = [node.span for node in assemble_trace(records)]
+        assert roots == traced
+        assert {s.name for s in roots[0].walk()} >= set(STELLAR_PHASES)
 
 
 class TestTraceCLI:
