@@ -12,13 +12,11 @@ Figures 8 and 11 measure against Stellar.
 Reconstruction notes (the full algorithm lives in the VLDB'05 paper, which
 this ICDE'07 paper only sketches):
 
-* The subspace tree removes dimensions in increasing index order, so each
-  subspace is visited exactly once, depth-first from the full space.
-* The sort key is the coordinate sum over the subspace -- monotone under
-  dominance, hence sound for a sort-first scan.  The child's sum vector is
-  derived from the parent's by subtracting one column, which is this
-  reproduction's analogue of the paper's shared sorted lists.
-* The per-subspace skyline scan is the same window filter used by
+* The subspace search is :class:`~repro.skycube.traversal.SubspaceSearch`,
+  the library's one SkyCube traversal: depth-first from the full space,
+  each subspace visited once, with coordinate-sum sort keys derived from
+  parent to child (the reproduction's analogue of the paper's shared
+  sorted lists).  Its per-subspace scan is the window filter of
   :mod:`repro.skyline.numpy_skyline`, so Skyey and Stellar sit on the same
   substrate and runtime comparisons measure the *search strategy*, not
   implementation folklore.
@@ -41,19 +39,20 @@ which the integration tests assert.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.bitset import iter_bits, minimal_masks
+from ..core.bitset import bit_list, minimal_masks
 from ..core.types import Dataset, SkylineGroup, group_sort_key
 from ..core.validate import common_coincidence_mask
 from ..obs.progress import ProgressTask, tick
 from ..obs.tracing import Span, SpanBackedTimings, Tracer, current_tracer
 from ..parallel import get_shared, map_shards, resolve_parallel
-from ..skyline.numpy_skyline import chunked_sorted_skyline
+from ..skycube.traversal import SubspaceSearch
 
-__all__ = ["SkyeyStats", "SkyeyResult", "skyey", "subspace_skyline_sorted"]
+__all__ = ["SkyeyStats", "SkyeyResult", "skyey"]
 
 #: ``auto`` engages the pool only above this much work, measured as
 #: objects x subspaces -- the quantity Skyey's cost is proportional to.
@@ -90,150 +89,33 @@ class SkyeyResult:
     stats: SkyeyStats
 
 
-def subspace_skyline_sorted(
-    proj: np.ndarray, sums: np.ndarray
-) -> list[int]:
-    """Skyline of the projected matrix using a precomputed monotone key.
-
-    The sum vector is supplied by the caller (derived incrementally from
-    the parent subspace), so only the argsort and the filtered scan are
-    paid here -- this is the subspace-skyline engine of the DFS.
-    """
-    order = np.argsort(sums, kind="stable")
-    positions = chunked_sorted_skyline(proj[order])
-    return [int(order[p]) for p in positions]
-
-
-def _record_node(
-    subspace: int,
-    skyline: list[int],
-    proj_rows,
+def _record(
+    minimized: np.ndarray,
+    nodes: Iterable[tuple[int, np.ndarray]],
     recorded: dict[frozenset[int], list[int]],
     sizes: dict[int, int],
 ) -> None:
-    """Fold one subspace's skyline into the group-assembly accumulators."""
-    sizes[subspace] = len(skyline)
-    by_projection: dict[tuple[float, ...], list[int]] = {}
-    for i in skyline:
-        by_projection.setdefault(tuple(proj_rows(i)), []).append(i)
-    for members in by_projection.values():
-        recorded.setdefault(frozenset(members), []).append(subspace)
-
-
-def _visit(
-    minimized: np.ndarray,
-    subspace: int,
-    sums: np.ndarray,
-    max_removable: int,
-    share_sort_keys: bool,
-    recorded: dict[frozenset[int], list[int]],
-    sizes: dict[int, int],
-) -> None:
-    """Depth-first search of the subspace tree rooted at ``subspace``.
-
-    Children remove one dimension with index below ``max_removable``, which
-    enumerates each non-empty subspace exactly once; ``max_removable=0``
-    records the root subspace alone, which is how the parallel path keeps
-    the full space in the parent while shipping subtrees to workers.
-    """
-    cols = list(iter_bits(subspace))
-    proj = minimized[:, cols]
-    if not share_sort_keys:
-        sums = proj.sum(axis=1)
-    skyline = subspace_skyline_sorted(proj, sums)
-    _record_node(subspace, skyline, lambda i: proj[i], recorded, sizes)
-    tick()
-
-    for d in range(max_removable):
-        if not subspace & (1 << d):
-            continue
-        child = subspace & ~(1 << d)
-        if child == 0:
-            continue
-        _visit(
-            minimized,
-            child,
-            sums - minimized[:, d],
-            d,
-            share_sort_keys,
-            recorded,
-            sizes,
-        )
-
-
-def _pruned_candidates(
-    minimized: np.ndarray, skyline_arr: np.ndarray, child: int
-) -> np.ndarray:
-    """Parent-candidate pruning: rows coinciding with a parent skyline row."""
-    from ..skycube.topdown import _rows_as_void
-
-    child_cols = list(iter_bits(child))
-    member_rows = _rows_as_void(minimized[np.ix_(skyline_arr, child_cols)])
-    all_rows = _rows_as_void(minimized[:, child_cols])
-    return np.flatnonzero(np.isin(all_rows, member_rows))
-
-
-def _visit_pruned(
-    minimized: np.ndarray,
-    subspace: int,
-    candidates: np.ndarray,
-    max_removable: int,
-    recorded: dict[frozenset[int], list[int]],
-    sizes: dict[int, int],
-) -> list[int]:
-    """Pruned DFS (SkyCube-style): children scan parent candidates only.
-
-    Returns the root subspace's skyline so the parallel path can hand it to
-    subtree workers without a second full-space scan.
-    """
-    cols = list(iter_bits(subspace))
-    cand_proj = minimized[np.ix_(candidates, cols)]
-    order = np.argsort(cand_proj.sum(axis=1), kind="stable")
-    positions = chunked_sorted_skyline(cand_proj[order])
-    skyline = sorted(int(candidates[order[p]]) for p in positions)
-    _record_node(
-        subspace, skyline, lambda i: minimized[i, cols], recorded, sizes
-    )
-    tick()
-
-    skyline_arr = np.asarray(skyline)
-    for d in range(max_removable):
-        if not subspace & (1 << d):
-            continue
-        child = subspace & ~(1 << d)
-        if child == 0:
-            continue
-        child_candidates = _pruned_candidates(minimized, skyline_arr, child)
-        _visit_pruned(
-            minimized, child, child_candidates, d, recorded, sizes
-        )
-    return skyline
+    """Fold each subspace's skyline into the group-assembly accumulators."""
+    for subspace, skyline in nodes:
+        sizes[subspace] = len(skyline)
+        members = skyline.tolist()
+        rows = minimized[np.ix_(skyline, bit_list(subspace))].tolist()
+        by_projection: dict[tuple[float, ...], list[int]] = {}
+        for i, row in zip(members, rows):
+            by_projection.setdefault(tuple(row), []).append(i)
+        for group in by_projection.values():
+            recorded.setdefault(frozenset(group), []).append(subspace)
+        tick()
 
 
 def _subtree_shard(
     d: int,
 ) -> tuple[dict[frozenset[int], list[int]], dict[int, int]]:
-    """Shard worker: full depth-first search of the subtree rooted at
-    ``full_space & ~(1 << d)`` with removal limit ``d``."""
-    minimized, share_sort_keys, pruning, full_skyline = get_shared()
-    n_dims = minimized.shape[1]
-    full = (1 << n_dims) - 1
-    child = full & ~(1 << d)
+    """Shard worker: the search of the subtree under ``full & ~(1 << d)``."""
+    search, full_skyline = get_shared()
     recorded: dict[frozenset[int], list[int]] = {}
     sizes: dict[int, int] = {}
-    if pruning:
-        candidates = _pruned_candidates(
-            minimized, np.asarray(full_skyline), child
-        )
-        _visit_pruned(minimized, child, candidates, d, recorded, sizes)
-    else:
-        # Exactly the parent's derivation (full sums minus one column) so
-        # the float arithmetic -- and hence the scan order -- matches the
-        # serial traversal bit for bit.
-        sums = minimized.sum(axis=1) - minimized[:, d]
-        _visit(
-            minimized, child, sums, d, share_sort_keys, recorded, sizes
-        )
+    _record(search.minimized, search.subtree(d, full_skyline), recorded, sizes)
     return recorded, sizes
 
 
@@ -257,7 +139,7 @@ def skyey(
         ablation benchmark measures what the sharing buys.
     candidate_pruning:
         Arm the subspace search with the parent-candidate pruning of the
-        SkyCube paper (see :mod:`repro.skycube.topdown`): each child
+        SkyCube paper (see :mod:`repro.skycube.traversal`): each child
         subspace only scans the parent skyline plus the objects coinciding
         with it.  This is the "directly adopting the algorithms from [15]"
         configuration the paper's related-work section argues cannot close
@@ -297,35 +179,11 @@ def skyey(
         with tracer.span("subspace_search") as sp, ProgressTask(
             "subspace_search", total=full
         ):
+            search = SubspaceSearch(minimized, share_sort_keys, candidate_pruning)
             if workers > 1 and n_dims >= 2:
-                _search_parallel(
-                    minimized,
-                    share_sort_keys,
-                    candidate_pruning,
-                    config,
-                    workers,
-                    recorded,
-                    skyline_sizes,
-                )
-            elif candidate_pruning:
-                _visit_pruned(
-                    minimized,
-                    full,
-                    np.arange(n),
-                    n_dims,
-                    recorded,
-                    skyline_sizes,
-                )
+                _search_parallel(search, config, workers, recorded, skyline_sizes)
             else:
-                _visit(
-                    minimized,
-                    full,
-                    minimized.sum(axis=1),
-                    n_dims,
-                    share_sort_keys,
-                    recorded,
-                    skyline_sizes,
-                )
+                _record(minimized, search.nodes(), recorded, skyline_sizes)
             stats.n_subspaces_searched = len(skyline_sizes)
             stats.n_subspace_skyline_objects = int(
                 sum(skyline_sizes.values())
@@ -361,9 +219,7 @@ def skyey(
 
 
 def _search_parallel(
-    minimized: np.ndarray,
-    share_sort_keys: bool,
-    candidate_pruning: bool,
+    search: SubspaceSearch,
     config,
     workers: int,
     recorded: dict[frozenset[int], list[int]],
@@ -371,37 +227,21 @@ def _search_parallel(
 ) -> None:
     """Subspace search with one root subtree per shard.
 
-    The parent records the full space itself (``max_removable=0``), then
-    ships subtree ``d`` -- rooted at ``full & ~(1 << d)`` with removal
-    limit ``d`` -- to the pool.  Merging shard results in ascending ``d``
-    order reproduces the serial depth-first record order exactly, which is
-    what keeps group assembly (and therefore the output) bit-identical.
+    The parent records the full space itself, then ships subtree ``d`` --
+    rooted at ``full & ~(1 << d)`` -- to the pool.  Merging shard results
+    in ascending ``d`` order reproduces the serial depth-first record order
+    exactly, which is what keeps group assembly (and therefore the output)
+    bit-identical.
     """
-    n, n_dims = minimized.shape
-    full = (1 << n_dims) - 1
-    if candidate_pruning:
-        full_skyline = _visit_pruned(
-            minimized, full, np.arange(n), 0, recorded, sizes
-        )
-        shared = (minimized, share_sort_keys, True, full_skyline)
-    else:
-        _visit(
-            minimized,
-            full,
-            minimized.sum(axis=1),
-            0,
-            share_sort_keys,
-            recorded,
-            sizes,
-        )
-        shared = (minimized, share_sort_keys, False, None)
+    full_skyline = search.root()
+    _record(search.minimized, [(search.full, full_skyline)], recorded, sizes)
     shards = map_shards(
         "skyey.subtrees",
         _subtree_shard,
-        list(range(n_dims)),
+        list(range(search.minimized.shape[1])),
         config=config,
         workers=workers,
-        shared=shared,
+        shared=(search, full_skyline),
         # Workers cannot tick the parent's task; advance by the number of
         # subspaces each completed subtree visited.
         progress=lambda _d, shard: tick(len(shard[1])),

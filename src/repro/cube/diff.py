@@ -26,6 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from ..core.bitset import iter_supersets
 from ..core.types import Dataset
 from ..obs.metrics import registry
 from ..obs.tracing import span
@@ -229,16 +230,9 @@ def _group_key(
 
 def _group_masks(group) -> set[int]:
     """Every subspace the group covers: ``{A : C ⊆ A ⊆ B for some C}``."""
-    masks: set[int] = set()
-    for c in group.decisive:
-        extra = group.subspace & ~c
-        sub = extra
-        while True:
-            masks.add(c | sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & extra
-    return masks
+    return {
+        sub for c in group.decisive for sub in iter_supersets(c, group.subspace)
+    }
 
 
 def _memberships(cube: CompressedSkylineCube, plan: DiffPlan) -> dict[str, set[int]]:

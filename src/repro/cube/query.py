@@ -19,10 +19,12 @@ many comparisons were made.  :meth:`QueryEngine.explain` returns that plan
 directly; the plan's counters are, by construction, exactly the deltas the
 metrics registry records for the same query.
 
-Q1 and Q3 scans run over a :class:`GroupIndex`, the cube's groups laid out
-as flat numpy arrays plus packed uint64 membership bitmaps: a skyline
-query over 845 groups takes 187 us against 480 us for a per-group Python
-loop (2 vCPU, numpy 2.4), whose plan counters the index reproduces exactly.
+Every answer comes from the cube (:mod:`repro.cube.compressed`), and the
+engine derives the plan counters from what the cube returns: a
+:class:`~repro.cube.compressed.ScanResult` per subspace scan, a
+:class:`~repro.cube.compressed.MembershipProbe` per point membership, and
+the groups and :class:`~repro.cube.compressed.MembershipInterval` sizes of
+a lattice walk.
 """
 
 from __future__ import annotations
@@ -30,17 +32,20 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..core.bitset import iter_bits
 from ..core.dominance import COMPARISONS
-from ..core.types import Dataset, SkylineGroup
+from ..core.types import Dataset
 from ..obs.context import current_trace_context
 from ..obs.logging import get_logger
 from ..obs.metrics import registry
 from ..obs.slowlog import slow_query_log
 from ..obs.tracing import Tracer, current_tracer
-from .compressed import CompressedSkylineCube
+from .compressed import (
+    CompressedSkylineCube,
+    GroupIndex,
+    ScanResult,
+    pack_bitmap,
+    unpack_bitmap,
+)
 
 __all__ = [
     "GroupIndex",
@@ -150,121 +155,12 @@ class QueryPlan:
         return "\n".join(lines)
 
 
-def pack_bitmap(indices, n: int) -> np.ndarray:
-    """Pack object indices into a little-endian uint64 bitmap of ``n`` bits."""
-    flags = np.zeros(n, dtype=bool)
-    if len(indices):
-        flags[np.asarray(list(indices), dtype=np.int64)] = True
-    words = (n + 63) // 64
-    packed = np.packbits(flags, bitorder="little")
-    out = np.zeros(words * 8, dtype=np.uint8)
-    out[: packed.size] = packed
-    return out.view(np.uint64)
-
-
-def unpack_bitmap(words: np.ndarray, n: int) -> np.ndarray:
-    """Indices of the set bits of a bitmap produced by :func:`pack_bitmap`."""
-    bits = np.unpackbits(words.view(np.uint8), count=n, bitorder="little")
-    return np.flatnonzero(bits)
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    """Outcome of one :meth:`GroupIndex.scan`."""
-
-    #: Sorted global indices of the union of matched groups' members.
-    members: np.ndarray
-    groups_considered: int
-    groups_matched: int
-    interval_checks: int
-
-
-class GroupIndex:
-    """A cube's skyline groups as flat arrays, for vectorized Q1/Q3 scans.
-
-    One scan is four numpy passes:
-
-    1. candidate groups: ``(mask & ~subspaces) == 0``;
-    2. decisive hits: ``(dec_flat & ~mask) == 0`` over the flattened
-       decisive lists (CSR layout, ``dec_off`` offsets);
-    3. segmented first hit: where a per-group loop over the decisive
-       subspaces would short-circuit, in one ``searchsorted`` pass;
-    4. member union: ``np.bitwise_or.reduce`` over the matched rows of the
-       packed membership bitmaps.
-
-    The counters equal those of the per-group loop: a candidate group that
-    matches on its ``k``-th decisive subspace contributes ``k`` interval
-    checks, a candidate that never matches contributes all of them, and a
-    non-candidate contributes none.  Masks are int64 up to 62 dimensions
-    and Python ints in object arrays beyond, as in
-    :class:`~repro.core.dominance.PairwiseMatrices`.
-    """
-
-    def __init__(self, n_objects: int, n_dims: int, groups: list[SkylineGroup]):
-        self.n_objects = int(n_objects)
-        self.n_groups = len(groups)
-        mask_dtype = np.int64 if n_dims <= 62 else object
-        self.subspaces = np.array(
-            [g.subspace for g in groups], dtype=mask_dtype
-        ).reshape(self.n_groups)
-        lengths = np.array(
-            [len(g.decisive) for g in groups], dtype=np.int64
-        ).reshape(self.n_groups)
-        self.dec_off = np.zeros(self.n_groups + 1, dtype=np.int64)
-        np.cumsum(lengths, out=self.dec_off[1:])
-        self.dec_flat = np.array(
-            [c for g in groups for c in g.decisive], dtype=mask_dtype
-        ).reshape(int(self.dec_off[-1]))
-        words = (self.n_objects + 63) // 64
-        self.bitmaps = np.zeros((self.n_groups, words), dtype=np.uint64)
-        for gi, group in enumerate(groups):
-            self.bitmaps[gi] = pack_bitmap(sorted(group.members), self.n_objects)
-
-    def scan(self, mask: int) -> ScanResult:
-        """Members of every group covering ``mask``, with plan counters."""
-        if self.n_groups == 0:
-            return ScanResult(
-                members=np.zeros(0, dtype=np.int64),
-                groups_considered=0,
-                groups_matched=0,
-                interval_checks=0,
-            )
-        candidates = (mask & ~self.subspaces) == 0
-        hits = (self.dec_flat & ~mask) == 0
-        hit_idx = np.flatnonzero(hits)
-        # Segment (= group) of each hit, then its first occurrence.
-        grp = np.searchsorted(self.dec_off[1:], hit_idx, side="right")
-        first_hit = np.full(self.n_groups, -1, dtype=np.int64)
-        if hit_idx.size:
-            keep = np.ones(hit_idx.size, dtype=bool)
-            keep[1:] = grp[1:] != grp[:-1]
-            first_hit[grp[keep]] = hit_idx[keep]
-        matched = candidates & (first_hit >= 0)
-        seg_len = self.dec_off[1:] - self.dec_off[:-1]
-        checks = np.where(
-            first_hit >= 0, first_hit - self.dec_off[:-1] + 1, seg_len
-        )
-        checks = np.where(candidates, checks, 0)
-        if matched.any():
-            union = np.bitwise_or.reduce(self.bitmaps[matched], axis=0)
-            members = unpack_bitmap(union, self.n_objects)
-        else:
-            members = np.zeros(0, dtype=np.int64)
-        return ScanResult(
-            members=members,
-            groups_considered=self.n_groups,
-            groups_matched=int(matched.sum()),
-            interval_checks=int(checks.sum()),
-        )
-
-
 class QueryEngine:
     """Name/label-level access to a compressed skyline cube."""
 
     def __init__(self, cube: CompressedSkylineCube):
         self.cube = cube
         self.dataset: Dataset = cube.dataset
-        self._group_index: GroupIndex | None = None
         self._label_to_index = {
             label: i for i, label in enumerate(self.dataset.labels)
         }
@@ -327,57 +223,49 @@ class QueryEngine:
             },
         )
 
-    def _scan_members(self, mask: int, plan: QueryPlan) -> list[int]:
-        """Sorted members of every group covering ``mask``, counted.
-
-        The :class:`GroupIndex` is built on the first scan, so mutations
-        that replace the engine never pay for it.
-        """
-        if self._group_index is None:
-            self._group_index = GroupIndex(
-                self.dataset.n_objects, self.dataset.n_dims, self.cube.groups
-            )
-        scan = self._group_index.scan(mask)
+    def _count_scan(self, plan: QueryPlan, scan: ScanResult) -> list[str]:
+        """Count one subspace scan; the labels of its members."""
         plan.count("groups_considered", scan.groups_considered)
         plan.count("groups_matched", scan.groups_matched)
         plan.count("interval_checks", scan.interval_checks)
-        return [int(i) for i in scan.members]
+        return [self.dataset.labels[i] for i in scan.members.tolist()]
 
-    def _enumerate_intervals(self, obj: int, plan: QueryPlan) -> list[int]:
-        """Materialise the membership lattice of ``obj``, counted.
+    def _count_walk(self, plan: QueryPlan, obj: int) -> None:
+        """Count one membership-lattice walk of ``obj``.
 
-        Mirrors :meth:`CompressedSkylineCube.membership_subspaces`; one
-        ``subspaces_enumerated`` unit per interval element visited
-        (overlapping intervals re-visit shared subspaces).
+        Every decisive subspace of every group holding ``obj`` is checked;
+        each kept interval is matched and enumerated in full, so
+        overlapping intervals re-visit shared subspaces.
         """
         groups = self.cube.groups_of(obj)
+        intervals = self.cube.membership_intervals(obj)
         plan.count("groups_considered", len(groups))
         plan.count("interval_checks", sum(len(g.decisive) for g in groups))
-        intervals = self.cube.membership_intervals(obj)
         plan.count("groups_matched", len(intervals))
-        seen: set[int] = set()
-        for iv in intervals:
-            extra = iv.upper & ~iv.lower
-            sub = extra
-            while True:
-                seen.add(iv.lower | sub)
-                plan.count("subspaces_enumerated")
-                if sub == 0:
-                    break
-                sub = (sub - 1) & extra
-        return sorted(seen)
+        plan.count("subspaces_enumerated", sum(iv.size() for iv in intervals))
+
+    def _neighbours(self, subspace: str, finer: bool) -> dict[str, list[str]]:
+        """Skylines one dimension away, by name (Q3), counted."""
+        kind = "drill_down" if finer else "roll_up"
+        with self._observed(kind, "q3", subspace) as plan:
+            mask = self.dataset.parse_subspace(subspace)
+            steps = self.cube.neighbours(mask, finer)
+            plan.strategy = "lattice-neighbors"
+            out = {
+                self.dataset.format_subspace(s): self._count_scan(plan, scan)
+                for _, s, scan in steps
+            }
+            plan.result_size = len(out)
+        return out
 
     # -- Q1 ---------------------------------------------------------------
 
     def skyline(self, subspace: str) -> list[str]:
         """Labels of the skyline objects of the named subspace."""
         with self._observed("skyline", "q1", subspace) as plan:
-            mask = self.dataset.parse_subspace(subspace)
-            self.cube._check_subspace(mask)
+            scan = self.cube.scan(self.dataset.parse_subspace(subspace))
             plan.strategy = "decisive-scan"
-            out = [
-                self.dataset.labels[i] for i in self._scan_members(mask, plan)
-            ]
+            out = self._count_scan(plan, scan)
             plan.result_size = len(out)
         return out
 
@@ -388,7 +276,8 @@ class QueryEngine:
         with self._observed("where_wins", "q2", label) as plan:
             obj = self._resolve(label)
             plan.strategy = "lattice-walk"
-            masks = self._enumerate_intervals(obj, plan)
+            masks = self.cube.membership_subspaces(obj)
+            self._count_walk(plan, obj)
             out = [self.dataset.format_subspace(m) for m in masks]
             plan.result_size = len(out)
         return out
@@ -397,21 +286,11 @@ class QueryEngine:
         """Is the object a skyline member of the named subspace?"""
         with self._observed("wins_in", "q2", f"{label} in {subspace}") as plan:
             obj = self._resolve(label)
-            mask = self.dataset.parse_subspace(subspace)
-            self.cube._check_subspace(mask)
-            out = False
-            for group in self.cube.groups_of(obj):
-                plan.count("groups_considered")
-                if mask & ~group.subspace:
-                    continue
-                for c in group.decisive:
-                    plan.count("interval_checks")
-                    if c & ~mask == 0:
-                        out = True
-                        plan.count("groups_matched")
-                        break
-                if out:
-                    break
+            probe = self.cube.probe(obj, self.dataset.parse_subspace(subspace))
+            out = probe.group is not None
+            plan.count("groups_considered", probe.groups_considered)
+            plan.count("interval_checks", probe.interval_checks)
+            plan.count("groups_matched", int(out))
             plan.strategy = "decisive-hit" if out else "group-miss"
             plan.result_size = int(out)
         return out
@@ -450,56 +329,20 @@ class QueryEngine:
 
     def drill_down(self, subspace: str) -> dict[str, list[str]]:
         """Skyline after adding each missing dimension to the subspace."""
-        with self._observed("drill_down", "q3", subspace) as plan:
-            mask = self.dataset.parse_subspace(subspace)
-            self.cube._check_subspace(mask)
-            plan.strategy = "lattice-neighbors"
-            out: dict[str, list[str]] = {}
-            for d in range(self.dataset.n_dims):
-                if mask & (1 << d):
-                    continue
-                bigger = mask | (1 << d)
-                out[self.dataset.format_subspace(bigger)] = [
-                    self.dataset.labels[i]
-                    for i in self._scan_members(bigger, plan)
-                ]
-            plan.result_size = len(out)
-        return out
+        return self._neighbours(subspace, finer=True)
 
     def roll_up(self, subspace: str) -> dict[str, list[str]]:
         """Skyline after removing each dimension of the subspace."""
-        with self._observed("roll_up", "q3", subspace) as plan:
-            mask = self.dataset.parse_subspace(subspace)
-            self.cube._check_subspace(mask)
-            plan.strategy = "lattice-neighbors"
-            out: dict[str, list[str]] = {}
-            for d in iter_bits(mask):
-                smaller = mask & ~(1 << d)
-                if smaller == 0:
-                    continue
-                out[self.dataset.format_subspace(smaller)] = [
-                    self.dataset.labels[i]
-                    for i in self._scan_members(smaller, plan)
-                ]
-            plan.result_size = len(out)
-        return out
+        return self._neighbours(subspace, finer=False)
 
     def top_frequent(self, k: int) -> list[tuple[str, int]]:
         """Top-k labels by skyline frequency (number of subspaces won)."""
         with self._observed("top_frequent", "q3", str(k)) as plan:
-            if k < 0:
-                raise ValueError(f"k must be non-negative, got {k}")
+            top = self.cube.top_frequent(k)
             plan.strategy = "lattice-walk"
-            objects = sorted({m for g in self.cube.groups for m in g.members})
-            frequencies = [
-                (obj, len(self._enumerate_intervals(obj, plan)))
-                for obj in objects
-            ]
-            frequencies.sort(key=lambda pair: (-pair[1], pair[0]))
-            out = [
-                (self.dataset.labels[obj], freq)
-                for obj, freq in frequencies[:k]
-            ]
+            for obj in {m for g in self.cube.groups for m in g.members}:
+                self._count_walk(plan, obj)
+            out = [(self.dataset.labels[obj], freq) for obj, freq in top]
             plan.result_size = len(out)
         return out
 

@@ -3,26 +3,23 @@
 The SkyCube (Yuan et al., VLDB 2005) materialises the skyline of every
 non-empty subspace.  The paper uses its size -- the total number of
 (object, subspace) skyline memberships -- as the yardstick that skyline
-groups compress (Figures 9 and 10), and its computation is the engine
-inside the Skyey baseline.
+groups compress (Figures 9 and 10, counted by
+:meth:`~repro.cube.compressed.CompressedSkylineCube.summary`), and its
+computation is the engine inside the Skyey baseline.
 
 * :mod:`repro.skycube.naive` -- one independent skyline query per subspace;
-* :mod:`repro.skycube.shared` -- depth-first traversal sharing the monotone
-  sort keys between parent and child subspaces (the strategy Skyey uses);
-* :mod:`repro.skycube.topdown` -- parent-candidate pruning (the TDS idea of
-  the SkyCube paper, with exact tie handling);
-* :mod:`repro.skycube.counts` -- the counters the evaluation figures plot.
+* :mod:`repro.skycube.traversal` -- the one depth-first traversal, with
+  shared sort keys (:func:`skycube_shared`, the strategy Skyey uses) or
+  parent-candidate pruning (:func:`skycube_topdown`, the TDS idea of the
+  SkyCube paper with exact tie handling).
 """
 
-from .counts import CubeCounts, cube_counts
 from .naive import skycube_naive
-from .shared import skycube_shared
-from .topdown import skycube_topdown
+from .traversal import SubspaceSearch, skycube_shared, skycube_topdown
 
 __all__ = [
+    "SubspaceSearch",
     "skycube_naive",
     "skycube_shared",
     "skycube_topdown",
-    "cube_counts",
-    "CubeCounts",
 ]

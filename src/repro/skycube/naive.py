@@ -16,7 +16,7 @@ def skycube_naive(
 
     Returns a mapping from subspace bitmask to the sorted skyline indices.
     Exponential in the dimensionality; the reference implementation that
-    :func:`repro.skycube.shared.skycube_shared` is tested against.
+    :mod:`repro.skycube.traversal` is tested against.
     """
     return {
         subspace: compute_skyline(dataset, subspace, algorithm=algorithm)

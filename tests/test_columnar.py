@@ -3,8 +3,10 @@
 * :func:`~repro.skyline.numpy_skyline.skyline_numpy` and its packed-bitset
   kernel against :func:`~repro.skyline.base.skyline_brute`, including the
   size cutoff between its two kernels and the 64-bit word boundaries;
-* :class:`~repro.cube.query.GroupIndex` against :func:`scan_groups` below,
-  the per-group loop it replaced, on results *and* plan counters;
+* :class:`~repro.cube.compressed.GroupIndex` against :func:`scan_groups` below,
+  the per-group loop it replaced, on results *and* plan counters, and the
+  Q2/Q3 lattice walks and membership probes against the counted loops
+  :func:`walk_groups` and :func:`probe_groups`;
 * :func:`~repro.core.stellar.stellar` against the definitional oracle
   (:func:`~repro.baselines.naive_cube.naive_compressed_cube`) on seeded
   inputs with heavy ties, exact duplicate rows and a single dimension.
@@ -35,6 +37,10 @@ def _random_dataset(rng, n=None, d=None, low_cardinality=True) -> Dataset:
     return Dataset.from_rows(values, names=tuple(f"c{i}" for i in range(d)))
 
 
+SCAN_COUNTERS = ("groups_considered", "groups_matched", "interval_checks")
+WALK_COUNTERS = (*SCAN_COUNTERS, "subspaces_enumerated")
+
+
 def scan_groups(cube: CompressedSkylineCube, mask: int) -> tuple[list[int], dict]:
     """Oracle for one Q1 scan: a Python loop over the groups, counted.
 
@@ -56,11 +62,62 @@ def scan_groups(cube: CompressedSkylineCube, mask: int) -> tuple[list[int], dict
     return sorted(members), counters
 
 
-def _scan_counters(plan) -> dict:
-    return {
-        name: plan.counters[name]
-        for name in ("groups_considered", "groups_matched", "interval_checks")
-    }
+def walk_groups(cube: CompressedSkylineCube, obj: int) -> tuple[list[int], dict]:
+    """Oracle for one Q2 lattice walk: a Python loop over the groups, counted.
+
+    Every decisive subspace of every group holding ``obj`` is one
+    ``interval_checks`` unit; each distinct maximal interval
+    ``[C, B]`` is one ``groups_matched`` unit and enumerates its
+    ``2^(|B| - |C|)`` subspaces one at a time.
+    """
+    counters = dict.fromkeys(WALK_COUNTERS, 0)
+    intervals = set()
+    for group in cube.groups:
+        if obj not in group.members:
+            continue
+        counters["groups_considered"] += 1
+        for c in group.decisive:
+            counters["interval_checks"] += 1
+            intervals.add((c, group.subspace))
+    subspaces: set[int] = set()
+    for lower, upper in intervals:
+        if any(
+            (lo, up) != (lower, upper)
+            and lo & lower == lo
+            and upper & up == upper
+            for lo, up in intervals
+        ):
+            continue  # contained in another interval
+        counters["groups_matched"] += 1
+        for mask in range(1 << upper.bit_length()):
+            if mask & lower == lower and mask & upper == mask:
+                counters["subspaces_enumerated"] += 1
+                subspaces.add(mask)
+    return sorted(subspaces), counters
+
+
+def probe_groups(
+    cube: CompressedSkylineCube, obj: int, mask: int
+) -> tuple[bool, dict]:
+    """Oracle for one point-membership probe: the object's groups in order,
+    stopping at the first that covers ``mask``."""
+    counters = dict.fromkeys(SCAN_COUNTERS, 0)
+    for group in cube.groups:
+        if obj not in group.members:
+            continue
+        counters["groups_considered"] += 1
+        if mask & ~group.subspace:
+            continue
+        for c in group.decisive:
+            counters["interval_checks"] += 1
+            if c & ~mask == 0:
+                counters["groups_matched"] += 1
+                return True, counters
+    return False, counters
+
+
+def _counters(plan, names=SCAN_COUNTERS) -> dict:
+    return {name: plan.counters[name] for name in names}
 
 
 class TestBitmaps:
@@ -179,7 +236,7 @@ class TestQueryEquivalence:
             name = data.format_subspace(mask)
             members, counters = scan_groups(cube, mask)
             assert engine.skyline(name) == [data.labels[i] for i in members]
-            assert _scan_counters(engine.last_plan) == counters, name
+            assert _counters(engine.last_plan) == counters, name
 
     def test_drill_down_and_roll_up(self, flight_routes):
         cube = CompressedSkylineCube.build(flight_routes)
@@ -203,7 +260,7 @@ class TestQueryEquivalence:
                 for name, value in counters.items():
                     totals[name] += value
             assert getattr(engine, kind)(sub) == expected
-            assert _scan_counters(engine.last_plan) == totals
+            assert _counters(engine.last_plan) == totals
 
     def test_shared_query_kinds_unaffected(self, flight_routes):
         cube = CompressedSkylineCube.build(flight_routes)
@@ -222,3 +279,26 @@ class TestQueryEquivalence:
             for mask in range(1, 1 << n_dims):
                 name = flight_routes.format_subspace(mask)
                 assert engine.wins_in(label, name) == (mask in won)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lattice_walk_and_probe_counters(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        data = _random_dataset(rng)
+        cube = CompressedSkylineCube(data, stellar(data).groups)
+        engine = QueryEngine(cube)
+        totals = dict.fromkeys(WALK_COUNTERS, 0)
+        for obj, label in enumerate(data.labels):
+            subspaces, counters = walk_groups(cube, obj)
+            assert engine.where_wins(label) == [
+                data.format_subspace(m) for m in subspaces
+            ]
+            assert _counters(engine.last_plan, WALK_COUNTERS) == counters, label
+            for name, value in counters.items():
+                totals[name] += value
+            for mask in range(1, 1 << data.n_dims):
+                name = data.format_subspace(mask)
+                hit, counters = probe_groups(cube, obj, mask)
+                assert engine.wins_in(label, name) == hit
+                assert _counters(engine.last_plan) == counters, (label, name)
+        engine.top_frequent(1)
+        assert _counters(engine.last_plan, WALK_COUNTERS) == totals

@@ -1,17 +1,13 @@
 """Tests for the SkyCube substrate (all-subspace skylines and counts)."""
 
+import pytest
 from hypothesis import given, settings
 
+from repro.baselines import skyey
 from repro.core.stellar import stellar
 from repro.core.types import Dataset
 from repro.cube import CompressedSkylineCube
-from repro.skycube import (
-    cube_counts,
-    skycube_naive,
-    skycube_shared,
-    skycube_topdown,
-)
-from repro.skycube.counts import subspace_skyline_object_count
+from repro.skycube import skycube_naive, skycube_shared, skycube_topdown
 from repro.skyline import compute_skyline
 
 from .conftest import tiny_int_datasets
@@ -86,24 +82,35 @@ class TestTopDown:
         assert skycube_topdown(ds) == skycube_shared(ds)
 
 
+class TestSignedZeros:
+    """``0.0`` and ``-0.0`` are one value, so they coincide on a subspace."""
+
+    ROWS = [[0.0, 5, 1], [-0.0, 1, 5], [3, 3, 3]]
+
+    @pytest.mark.parametrize("traversal", [skycube_shared, skycube_topdown])
+    def test_traversals_match_naive(self, traversal):
+        ds = Dataset.from_rows(self.ROWS)
+        expected = skycube_naive(ds)
+        assert expected[0b001] == [0, 1]
+        assert traversal(ds) == expected
+
+    def test_skyey_strategies_agree(self):
+        ds = Dataset.from_rows(self.ROWS)
+        plain = skyey(ds)
+        pruned = skyey(ds, candidate_pruning=True)
+        assert pruned.groups == plain.groups == stellar(ds).groups
+        assert pruned.skyline_sizes == plain.skyline_sizes
+        assert plain.skyline_sizes[0b001] == 2
+
+
 class TestCounts:
-    def test_cube_counts_running_example(self, running_example):
-        counts = cube_counts(running_example)
-        assert counts.n_objects == 5
-        assert counts.n_dims == 4
-        assert counts.n_full_space_skyline == 3
-        assert counts.n_skyline_groups == 8
-        expected_total = sum(
-            len(v) for v in skycube_naive(running_example).values()
-        )
-        assert counts.n_subspace_skyline_objects == expected_total
-        assert counts.compression_ratio == expected_total / 8
+    """The SkyCube size of Figures 9 and 10, as the compressed cube counts it."""
 
     def test_compression_ratio_nan_when_empty(self):
         ds = Dataset.from_rows([], names=("A",))
-        counts = cube_counts(ds)
-        assert counts.n_skyline_groups == 0
-        assert counts.compression_ratio != counts.compression_ratio  # NaN
+        summary = CompressedSkylineCube(ds, stellar(ds).groups).summary()
+        assert summary.n_groups == 0
+        assert summary.compression_ratio != summary.compression_ratio  # NaN
 
     @settings(max_examples=40, deadline=None)
     @given(tiny_int_datasets(max_objects=10, max_dims=4, max_value=3))
@@ -111,7 +118,6 @@ class TestCounts:
         """The compressed cube's interval-based SkyCube size is exact."""
         result = stellar(ds)
         cube = CompressedSkylineCube(ds, result.groups)
-        assert (
-            cube.summary().n_subspace_skyline_objects
-            == subspace_skyline_object_count(ds)
+        assert cube.summary().n_subspace_skyline_objects == sum(
+            len(skyline) for skyline in skycube_naive(ds).values()
         )
