@@ -6,7 +6,7 @@ Modules
 * :mod:`repro.core.types` -- :class:`Dataset`, :class:`SkylineGroup`
 * :mod:`repro.core.dominance` -- dominance & coincidence matrices
 * :mod:`repro.core.hitting` -- minimal hitting sets (minimum DNF)
-* :mod:`repro.core.cgroups` -- maximal c-group enumeration (Figure 6)
+* :mod:`repro.core.cgroups` -- maximal c-groups by agree-set closure (Figure 6)
 * :mod:`repro.core.seeds` -- seed skyline groups (Theorem 3, Corollary 1)
 * :mod:`repro.core.extension` -- non-seed accommodation (Theorem 5)
 * :mod:`repro.core.stellar` -- the Stellar driver (Figure 7)

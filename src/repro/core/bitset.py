@@ -9,13 +9,16 @@ Stellar algorithm allocation-free.
 
 This module collects the helpers the rest of the code base shares: iteration
 over the set bits, subset enumeration, antichain (minimal-element) filtering,
-and pretty-printing masks with dimension names as in the paper (subspace
+intersection closure, de-duplication of packed mask vectors, and
+pretty-printing masks with dimension names as in the paper (subspace
 ``{A, C}`` prints as ``"AC"``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+
+import numpy as np
 
 __all__ = [
     "bit",
@@ -32,6 +35,8 @@ __all__ = [
     "minimal_masks",
     "maximal_masks",
     "absorb_supersets",
+    "closed_masks",
+    "distinct_masks",
     "mask_of_dims",
     "format_mask",
     "parse_mask",
@@ -171,6 +176,38 @@ def maximal_masks(masks: Iterable[int]) -> list[int]:
 #: operation: in a CNF, a clause that is a superset of another clause is
 #: implied by it and can be dropped.
 absorb_supersets = minimal_masks
+
+
+def closed_masks(masks: Iterable[int]) -> set[int]:
+    """Closure of a family of masks under pairwise intersection.
+
+    Returns every non-empty intersection of a non-empty subfamily.  Adding
+    one mask ``m`` to a family with closure ``C`` adds exactly ``m`` and
+    ``m & c`` for ``c`` in ``C``, so one pass over the family suffices.
+    """
+    closure: set[int] = set()
+    for m in set(masks):
+        closure |= {m & c for c in closure}
+        closure.add(m)
+    closure.discard(0)
+    return closure
+
+
+def distinct_masks(arr: np.ndarray) -> list[int]:
+    """Sorted distinct values of a packed mask vector, as Python ints.
+
+    Works for ``int64`` vectors and for the ``object`` vectors that carry
+    masks beyond 62 dimensions.  Sorting and testing neighbours for
+    inequality is several times faster than ``np.unique``'s hash path on
+    the short vectors Stellar de-duplicates.
+    """
+    values = np.sort(arr)
+    if values.size == 0:
+        return []
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep].tolist()
 
 
 def mask_of_dims(dims: Iterable[int]) -> int:

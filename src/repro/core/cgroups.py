@@ -3,34 +3,34 @@
 A *maximal c-group* ``(G, B)`` over the seed set is a group of seeds sharing
 the same projection on ``B`` such that no other seed shares it and the
 members share no further dimension.  These are exactly the closed sets of
-the "coincides-on" Galois connection, and the paper enumerates them with a
-set-enumeration tree [Rymon, KR'92] in the style of closed-itemset miners
-(CLOSET, CHARM):
+the "coincides-on" Galois connection.  The paper enumerates them with a
+set-enumeration tree over objects; this module enumerates them per root
+from the root's agree sets instead, the formulation of Nedjar et al.'s
+skyline concept lattices ("ensembles en accord", arXiv 1010.4850): the
+agree set of two objects is the set of dimensions they coincide on, here
+the coincidence cell ``co[u, o]``.
 
-* the search is rooted once per seed ``u``; the root's branch enumerates the
-  groups whose smallest member is ``u``;
-* at a node with group ``G`` (smallest member ``u``) and subspace ``B``, the
-  *closure* is taken: every seed whose coincidence with ``u`` covers ``B``
-  is forced into ``G`` (line 31 of Figure 6);
-* if a forced seed lies outside the remaining candidate tail ``H`` -- i.e.
-  it was skipped earlier on this path or belongs to an earlier root -- the
-  node cannot be maximal-canonical and the branch is pruned (line 32);
-* otherwise the closed group is emitted and the search extends ``G`` with
-  each later candidate ``o``, shrinking the subspace to ``B ∩ co[u, o]``.
+Fix a root seed ``u`` and a maximal c-group ``(G, B)`` with ``u = min(G)``:
 
-The tail ``H`` passed to a child keeps only candidates *after* the chosen
-extension whose coincidence still meets the child subspace: an object with
-``co[u, o] ∩ B' = ∅`` can never join any group below ``B'`` because group
-subspaces are non-empty subsets of ``B'``.  (The paper's Figure 6 prints the
-filter as ``co ⊇ B'``, which would keep only already-forced objects and
-miss, e.g., group ``o1 o2 o4 o5`` of its own Example 8; the intersection
-filter is the reading consistent with that example and is what we use.)
+* since ``u ∈ G``, the members share a value on a dimension exactly when
+  each of them equals ``u`` there, so ``B`` is the intersection of
+  ``co[u, o]`` over ``o ∈ G - {u}`` -- or the full space when ``G`` holds
+  only ``u`` and its duplicates;
+* ``G`` is every seed whose agree set with ``u`` covers ``B``
+  (``co[u, o] ⊇ B``), because no seed outside ``G`` shares the projection.
 
-Together with the line-32 prune, the "candidates strictly after the chosen
-extension" rule makes each closed group reachable by exactly one canonical
-path (its non-forced members added in increasing index order), so no
-duplicate suppression table is needed; a defensive assertion in the tests
-checks uniqueness anyway.
+So the subspaces root ``u`` can produce are the intersection closure of the
+distinct non-zero masks ``co[u, o]`` for ``o > u``, plus the full space: at
+most ``2^d`` masks per root, however many seeds there are.  Each closed
+mask ``B`` determines its group ``{o : co[u, o] ⊇ B}``, and the group is
+emitted from root ``u`` only when no seed before ``u`` covers ``B`` -- that
+seed would be the group's smallest member (the prune of Figure 6's line
+32).  Every maximal c-group therefore comes out exactly once, from the root
+that is its smallest member, and no duplicate suppression table is needed.
+
+The closure reads the same coincidence rows as Figure 6's tree search, one
+:meth:`~repro.core.dominance.PairwiseMatrices.eq_row_array` per root, so the
+phase's comparison count is the tree's.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.dominance import PairwiseMatrices
+from .bitset import closed_masks, distinct_masks
 
 __all__ = ["enumerate_maximal_cgroups"]
 
@@ -50,13 +51,15 @@ def enumerate_maximal_cgroups(
     Parameters
     ----------
     matrices:
-        Pairwise matrices over the seeds; coincidence cells drive the search.
+        Pairwise matrices over the seeds; coincidence rows drive the search.
 
     Returns
     -------
     List of ``(members, subspace)`` pairs where ``members`` are *local* seed
     positions (sorted tuples) and ``subspace`` is a dimension bitmask.
-    Singleton groups carry the full space as their maximal subspace.
+    Singleton groups carry the full space as their maximal subspace.  The
+    list is ordered by smallest member, then by decreasing subspace
+    bitmask, so a root's full-space group (if it has one) comes first.
     """
     k = len(matrices)
     full = matrices.full_space
@@ -64,50 +67,14 @@ def enumerate_maximal_cgroups(
         return []
     out: list[tuple[tuple[int, ...], int]] = []
     for u in range(k):
-        co_arr = matrices.eq_row_array(u)
-        co_row = [int(x) for x in co_arr]
-        tail = [o for o in range(u + 1, k) if co_row[o] & full]
-        _search(u, co_row, co_arr, frozenset([u]), tail, full, out)
+        row = matrices.eq_row_array(u)
+        subspaces = closed_masks(distinct_masks(row[u + 1 :]))
+        subspaces.add(full)
+        for subspace in sorted(subspaces, reverse=True):
+            covers = (row & subspace) == subspace
+            if covers[:u].any():
+                # An earlier seed coincides with u on all of B: the group
+                # is emitted from that seed's root instead.
+                continue
+            out.append((tuple(np.flatnonzero(covers).tolist()), subspace))
     return out
-
-
-def _search(
-    u: int,
-    co_row: list[int],
-    co_arr: np.ndarray,
-    group: frozenset[int],
-    tail: list[int],
-    subspace: int,
-    out: list[tuple[tuple[int, ...], int]],
-) -> None:
-    # Closure (line 31): seeds coinciding with u on all of `subspace` are
-    # forced into the group.  Coincidence with the branch root u on B means
-    # coincidence with every member (they all carry u's values on B).
-    forced = [
-        int(o)
-        for o in np.flatnonzero((co_arr & subspace) == subspace)
-        if o not in group
-    ]
-    if forced:
-        tail_set = set(tail)
-        if any(o not in tail_set for o in forced):
-            # Line 32: a forced seed was skipped earlier on this path or
-            # belongs to an earlier branch root; the canonical path to this
-            # closed group runs elsewhere.
-            return
-        group = group | frozenset(forced)
-        forced_set = set(forced)
-        tail = [o for o in tail if o not in forced_set]
-
-    out.append((tuple(sorted(group)), subspace))
-
-    for j, o in enumerate(tail):
-        child_subspace = co_row[o] & subspace
-        if child_subspace == 0:
-            continue
-        child_tail = [
-            w for w in tail[j + 1 :] if co_row[w] & child_subspace
-        ]
-        _search(
-            u, co_row, co_arr, group | {o}, child_tail, child_subspace, out
-        )

@@ -46,7 +46,7 @@ import numpy as np
 
 from ..obs.progress import ProgressTask, tick
 from ..parallel import chunk_ranges, get_shared, map_shards, resolve_parallel
-from .bitset import is_subset
+from .bitset import closed_masks, distinct_masks, is_subset
 from .dominance import PairwiseMatrices
 from .hitting import minimal_hitting_sets
 from .seeds import SeedGroup, singleton_decisive
@@ -76,29 +76,6 @@ def share_and_beat_masks(
     share = ((nonseed_matrix == rep_values).astype(pow2.dtype) @ pow2) & subspace
     beat = ((nonseed_matrix < rep_values).astype(pow2.dtype) @ pow2) & subspace
     return share, beat
-
-
-def closed_masks(masks: list[int]) -> set[int]:
-    """Closure of a family of masks under pairwise intersection.
-
-    The closed non-empty masks are exactly the possible maximal subspaces of
-    child groups: a child's subspace is the intersection of its members'
-    share masks, and every intersection of a subfamily is reachable by
-    pairwise steps.
-    """
-    closure = {m for m in masks if m}
-    frontier = list(closure)
-    while frontier:
-        m = frontier.pop()
-        additions = []
-        for other in closure:
-            meet = m & other
-            if meet and meet not in closure:
-                additions.append(meet)
-        for a in additions:
-            closure.add(a)
-            frontier.append(a)
-    return closure
 
 
 def _share_maps_block(
@@ -285,7 +262,7 @@ def extend_with_nonseeds(
         outside = np.ones(k, dtype=bool)
         outside[list(seed_group.local_members)] = False
         clause_arr = matrices.dom_row_array(rep_local)[outside] & subspace
-        seed_clause_base = [int(c) for c in np.unique(clause_arr)]
+        seed_clause_base = distinct_masks(clause_arr)
 
         # --- the seed group itself, possibly extended in place ----------
         full_joiners = [o for o, m in shares.items() if m == subspace]

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..obs.progress import tick
 from ..parallel import chunk_ranges, get_shared, map_shards, resolve_parallel
-from .bitset import bit, iter_bits
+from .bitset import bit, distinct_masks, iter_bits
 from .dominance import COMPARISONS, PairwiseMatrices
 from .hitting import minimal_hitting_sets
 from .types import Dataset
@@ -153,7 +153,7 @@ def _clause_verdict(
     if clause_arr.size and not clause_arr.all():
         return False, ()
     if clause_arr.size:
-        clauses = [int(c) for c in np.unique(clause_arr)]
+        clauses = distinct_masks(clause_arr)
         decisive = tuple(sorted(minimal_hitting_sets(clauses)))
     else:
         decisive = singleton_decisive(subspace)

@@ -6,8 +6,8 @@ the full space*:
 
 1. compute the full-space skyline ``F(S)`` (the seeds), populating the
    dominance matrix over the seeds as a byproduct;
-2. enumerate the maximal c-groups of the seeds with the set-enumeration-tree
-   search of Figure 6 (:mod:`repro.core.cgroups`);
+2. enumerate the maximal c-groups of the seeds (Figure 6) as per-root
+   closures of the coincidence masks (:mod:`repro.core.cgroups`);
 3. attach decisive subspaces via minimal hitting sets over dominance-matrix
    rows (Corollary 1, :mod:`repro.core.seeds`), dropping c-groups with an
    empty clause (step 4);

@@ -1,5 +1,8 @@
 """Unit and property tests for the dimension bit-set machinery."""
 
+from itertools import combinations
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -100,6 +103,38 @@ class TestAntichains:
             assert any(bitset.is_subset(r, m) for r in result)
         # every result element is an input element
         assert set(result) <= set(masks)
+
+
+class TestClosureAndDistinct:
+    @given(st.lists(st.integers(min_value=0, max_value=63), max_size=7))
+    def test_closed_masks_is_every_subfamily_intersection(self, masks):
+        expected = set()
+        for size in range(1, len(masks) + 1):
+            for family in combinations(masks, size):
+                meet = family[0]
+                for m in family[1:]:
+                    meet &= m
+                if meet:
+                    expected.add(meet)
+        assert bitset.closed_masks(masks) == expected
+
+    def test_distinct_masks_empty(self):
+        assert bitset.distinct_masks(np.zeros(0, dtype=np.int64)) == []
+        assert bitset.distinct_masks(np.zeros(0, dtype=object)) == []
+
+    @given(st.lists(st.integers(min_value=0, max_value=(1 << 62) - 1), max_size=40))
+    def test_distinct_masks_int64(self, masks):
+        got = bitset.distinct_masks(np.array(masks, dtype=np.int64))
+        assert got == sorted(set(masks))
+        assert all(type(m) is int for m in got)
+
+    @given(st.lists(st.integers(min_value=0, max_value=(1 << 70) - 1), max_size=40))
+    def test_distinct_masks_object(self, masks):
+        arr = np.empty(len(masks), dtype=object)
+        arr[:] = masks
+        got = bitset.distinct_masks(arr)
+        assert got == sorted(set(masks))
+        assert all(type(m) is int for m in got)
 
 
 class TestFormatting:

@@ -3,6 +3,7 @@
 from itertools import combinations
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cgroups import enumerate_maximal_cgroups
 from repro.core.dominance import PairwiseMatrices
@@ -127,3 +128,48 @@ def test_enumeration_matches_bruteforce(ds: Dataset):
     # no duplicates: each closed group is emitted exactly once
     assert len(set(got)) == len(got)
     assert set(got) == brute_maximal_cgroups(ds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=63, max_value=70).flatmap(
+        lambda d: st.lists(
+            st.lists(st.integers(min_value=0, max_value=1), min_size=d, max_size=d),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+def test_object_dtype_matches_bruteforce(rows):
+    """Beyond 62 dimensions the masks are Python ints in object arrays."""
+    ds = Dataset.from_rows(rows)
+    matrices = PairwiseMatrices(ds, list(range(ds.n_objects)))
+    got = enumerate_maximal_cgroups(matrices)
+    assert len(set(got)) == len(got)
+    assert set(got) == brute_maximal_cgroups(ds)
+
+
+def test_root_with_earlier_duplicate_emits_nothing():
+    """Seed 2 duplicates seed 0, so every group holding 2 starts at 0."""
+    A, full = 0b001, 0b111
+    ds = Dataset.from_rows([[1, 2, 3], [0, 5, 5], [1, 2, 3], [1, 9, 9]])
+    matrices = PairwiseMatrices(ds, [0, 1, 2, 3])
+    got = enumerate_maximal_cgroups(matrices)
+    assert [g for g in got if g[0][0] == 2] == []
+    assert set(got) == {
+        ((0, 2), full),
+        ((0, 2, 3), A),
+        ((1,), full),
+        ((3,), full),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(tiny_int_datasets(max_objects=8, max_dims=4, max_value=2))
+def test_order_is_deterministic(ds: Dataset):
+    """Groups come by smallest member, then by decreasing subspace mask."""
+    seeds = list(range(ds.n_objects))
+    first = enumerate_maximal_cgroups(PairwiseMatrices(ds, seeds))
+    second = enumerate_maximal_cgroups(PairwiseMatrices(ds, seeds))
+    assert first == second
+    assert first == sorted(first, key=lambda g: (g[0][0], -g[1]))
