@@ -13,14 +13,13 @@ Drives the full operational loop the way production would:
 5. gate with ``repro bench diff --only`` on the tail-latency, error-rate
    and consistency metrics against the committed baseline entry.
 
-Both processes share a trace sink (``--trace-dir``), the server runs its
-cube builds on a process pool (``--parallel process:2``), and the smoke
+Both processes share a trace sink (``--trace-dir``), and the smoke
 additionally asserts the request-correlation contract end to end: the
 OpenMetrics scrape carries histogram exemplars whose trace ids are
 reassemblable from the sink, and at least one slow publish trace crosses
-client -> HTTP -> engine -> pool worker with ``repro trace
-critical-path`` phase attribution summing to the measured latency within
-10% and no Stellar phase span left in the ``other`` bucket.
+client -> HTTP -> engine with ``repro trace critical-path`` phase
+attribution summing to the measured latency within 10% and no Stellar
+phase span left in the ``other`` bucket.
 
 Usage::
 
@@ -60,7 +59,7 @@ GATE_THRESHOLD = "4.0"
 #: Trace-sink slow threshold shared by client and server: low enough that
 #: every snapshot publish (a full cube build, ~60ms+ on this dataset) is
 #: deterministically kept, giving the smoke a guaranteed trace that
-#: crosses into the server's process-pool workers.
+#: crosses from the client into the server's Stellar build.
 TRACE_SLOW_MS = "50"
 #: Stellar's phase spans; critical-path must attribute each to a real
 #: phase (they inherit ``kernel`` from their ``stellar`` span).
@@ -120,16 +119,16 @@ def check_tracing(trace_dir: Path, om_type: str, om_scrape: str) -> None:
         if {"client", "server"} <= set(s["sources"])
     ]
     check(bool(both_sided), "client+server stitched traces present in sink")
-    # A slow publish fans the cube build onto the process pool; its trace
-    # must cross client -> HTTP -> engine -> pool worker.
-    crossing = [s for s in both_sided if "shard" in s["names"]]
-    check(bool(crossing), "a trace crosses into process-pool worker shards")
-    target = max(crossing, key=lambda s: s["duration_s"])
+    # A slow publish runs a Stellar build in the server; its trace must
+    # cross client -> HTTP -> engine.
+    publishes = [s for s in both_sided if "stellar" in s["names"]]
+    check(bool(publishes), "a client+server trace reaches a Stellar build")
+    target = max(publishes, key=lambda s: s["duration_s"])
     cp = run_cli(
         ["trace", "critical-path", target["trace_id"],
          "--trace-dir", str(trace_dir), "--json"]
     )
-    check(cp.returncode == 0, "critical-path reassembles the crossing trace")
+    check(cp.returncode == 0, "critical-path reassembles the publish trace")
     analysis = json.loads(cp.stdout)
     total, attributed = analysis["total_s"], analysis["attributed_s"]
     check(
@@ -139,7 +138,7 @@ def check_tracing(trace_dir: Path, om_type: str, om_scrape: str) -> None:
     )
     check(
         "kernel" in analysis["phases"],
-        "kernel (pool shard) phase attributed on the publish trace",
+        "kernel (Stellar build) phase attributed on the publish trace",
     )
     stellar_steps = [
         step for step in analysis["steps"] if step["name"] in STELLAR_PHASES
@@ -150,7 +149,7 @@ def check_tracing(trace_dir: Path, om_type: str, om_scrape: str) -> None:
         "none classified 'other'",
     )
     pids = {step["pid"] for step in analysis["steps"]}
-    check(len(pids) >= 3, f"trace spans {len(pids)} distinct processes")
+    check(len(pids) >= 2, f"trace spans {len(pids)} distinct processes")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -189,7 +188,6 @@ def main(argv: list[str] | None = None) -> int:
                 "--port", "0",
                 "--snapshot", "loadtest",
                 "--slo-interval", "1",
-                "--parallel", "process:2",
                 "--trace-dir", str(trace_dir),
                 "--trace-slow-ms", TRACE_SLOW_MS,
             ],

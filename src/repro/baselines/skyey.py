@@ -26,13 +26,6 @@ this ICDE'07 paper only sketches):
   members share (see :mod:`repro.baselines.naive_cube` for why exclusivity
   holds by construction).
 
-Parallel execution (docs/PARALLEL.md): the subspace tree decomposes at the
-root -- the full space plus one independent subtree per removable dimension
--- so the per-subspace search shards across workers with one subtree per
-shard.  Shard visit orders are merged in dimension order, reproducing the
-serial depth-first record order exactly; the baseline comparison against a
-parallel Stellar therefore stays fair, with both sides on the same backend.
-
 The output is byte-for-byte the same compressed cube Stellar produces,
 which the integration tests assert.
 """
@@ -49,14 +42,9 @@ from ..core.types import Dataset, SkylineGroup, group_sort_key
 from ..core.validate import common_coincidence_mask
 from ..obs.progress import ProgressTask, tick
 from ..obs.tracing import Span, SpanBackedTimings, Tracer, current_tracer
-from ..parallel import get_shared, map_shards, resolve_parallel
 from ..skycube.traversal import SubspaceSearch
 
 __all__ = ["SkyeyStats", "SkyeyResult", "skyey"]
-
-#: ``auto`` engages the pool only above this much work, measured as
-#: objects x subspaces -- the quantity Skyey's cost is proportional to.
-_PARALLEL_FLOOR = 1 << 21
 
 
 @dataclass
@@ -108,22 +96,10 @@ def _record(
         tick()
 
 
-def _subtree_shard(
-    d: int,
-) -> tuple[dict[frozenset[int], list[int]], dict[int, int]]:
-    """Shard worker: the search of the subtree under ``full & ~(1 << d)``."""
-    search, full_skyline = get_shared()
-    recorded: dict[frozenset[int], list[int]] = {}
-    sizes: dict[int, int] = {}
-    _record(search.minimized, search.subtree(d, full_skyline), recorded, sizes)
-    return recorded, sizes
-
-
 def skyey(
     dataset: Dataset,
     share_sort_keys: bool = True,
     candidate_pruning: bool = False,
-    parallel: object = None,
 ) -> SkyeyResult:
     """Compute the compressed skyline cube by searching every subspace.
 
@@ -145,11 +121,6 @@ def skyey(
         configuration the paper's related-work section argues cannot close
         the gap to Stellar -- every subspace must still be visited -- and
         the ablation benchmark quantifies exactly that.
-    parallel:
-        Parallel-execution spec (see :mod:`repro.parallel`); ``None``
-        defers to the process default (the CLI ``--parallel`` flag).  The
-        per-subspace search then shards one root subtree per worker; the
-        merged result is bit-identical to a serial run.
     """
     stats = SkyeyStats(n_objects=dataset.n_objects, n_dims=dataset.n_dims)
     minimized = dataset.minimized
@@ -157,7 +128,6 @@ def skyey(
     if n == 0 or n_dims == 0:
         return SkyeyResult(groups=[], skyline_sizes={}, stats=stats)
 
-    config = resolve_parallel(parallel)
     tracer = current_tracer()
     if tracer is None:
         # Record phase spans even without ambient tracing: SkyeyStats
@@ -168,22 +138,17 @@ def skyey(
     skyline_sizes: dict[int, int] = {}
 
     full = (1 << n_dims) - 1
-    workers = config.plan(n * full, floor=_PARALLEL_FLOOR)
     with tracer.span(
         "skyey",
         n_objects=n,
         n_dims=n_dims,
         candidate_pruning=candidate_pruning,
-        parallel=config.describe(),
     ) as root:
         with tracer.span("subspace_search") as sp, ProgressTask(
             "subspace_search", total=full
         ):
             search = SubspaceSearch(minimized, share_sort_keys, candidate_pruning)
-            if workers > 1 and n_dims >= 2:
-                _search_parallel(search, config, workers, recorded, skyline_sizes)
-            else:
-                _record(minimized, search.nodes(), recorded, skyline_sizes)
+            _record(minimized, search.nodes(), recorded, skyline_sizes)
             stats.n_subspaces_searched = len(skyline_sizes)
             stats.n_subspace_skyline_objects = int(
                 sum(skyline_sizes.values())
@@ -216,37 +181,3 @@ def skyey(
     return SkyeyResult(
         groups=groups, skyline_sizes=skyline_sizes, stats=stats
     )
-
-
-def _search_parallel(
-    search: SubspaceSearch,
-    config,
-    workers: int,
-    recorded: dict[frozenset[int], list[int]],
-    sizes: dict[int, int],
-) -> None:
-    """Subspace search with one root subtree per shard.
-
-    The parent records the full space itself, then ships subtree ``d`` --
-    rooted at ``full & ~(1 << d)`` -- to the pool.  Merging shard results
-    in ascending ``d`` order reproduces the serial depth-first record order
-    exactly, which is what keeps group assembly (and therefore the output)
-    bit-identical.
-    """
-    full_skyline = search.root()
-    _record(search.minimized, [(search.full, full_skyline)], recorded, sizes)
-    shards = map_shards(
-        "skyey.subtrees",
-        _subtree_shard,
-        list(range(search.minimized.shape[1])),
-        config=config,
-        workers=workers,
-        shared=(search, full_skyline),
-        # Workers cannot tick the parent's task; advance by the number of
-        # subspaces each completed subtree visited.
-        progress=lambda _d, shard: tick(len(shard[1])),
-    )
-    for shard_recorded, shard_sizes in shards:
-        for members, subspaces in shard_recorded.items():
-            recorded.setdefault(members, []).extend(subspaces)
-        sizes.update(shard_sizes)

@@ -31,7 +31,6 @@ from .figures import (
     figure10,
     figure11,
     figure12,
-    figure12_workers,
     run_figure,
 )
 from .harness import BenchPoint, SCALES, Scale, emit_trace, time_call
@@ -56,7 +55,6 @@ __all__ = [
     "figure10",
     "figure11",
     "figure12",
-    "figure12_workers",
     "FigureResult",
     "render_table",
     "Scale",

@@ -25,7 +25,6 @@ from ..cube.compressed import CompressedSkylineCube
 from ..data.generators import make_dataset
 from ..data.nba import generate_nba_like
 from ..obs.tracing import span
-from ..parallel import default_workers
 from .harness import SCALES, BudgetedRunner, Scale
 from .reporting import FigureResult
 
@@ -35,7 +34,6 @@ __all__ = [
     "figure10",
     "figure11",
     "figure12",
-    "figure12_workers",
     "FIGURES",
     "run_figure",
 ]
@@ -209,87 +207,6 @@ def figure12(scale: str | Scale = "default") -> FigureResult:
     )
 
 
-def figure12_workers(scale: str | Scale = "default") -> FigureResult:
-    """Workers axis of Figure 12: runtime vs pool size at the largest n.
-
-    Not a figure of the paper -- the 2007 evaluation is single-threaded --
-    but the natural extension of its size sweep: at the largest database
-    size of each distribution, run both algorithms serially and on process
-    pools of increasing size (docs/PARALLEL.md), reporting the speedup over
-    the serial reference and verifying the outputs stay identical.
-    """
-    sc = _resolve(scale)
-    rows: list[list[object]] = []
-    for dist in _DISTRIBUTIONS:
-        d = _FIG12_DIMS[dist]
-        n = sc.size_sweep[-1]
-        data = make_dataset(dist, n, d, seed=_SEED)
-        stellar_runner = BudgetedRunner(sc.time_budget)
-        skyey_runner = BudgetedRunner(sc.time_budget)
-        serial_keys: dict[str, list] = {}
-        serial_secs: dict[str, float | None] = {}
-        for w in sc.workers_sweep:
-            spec = "serial" if w <= 1 else f"process:{w}"
-            p_st = stellar_runner.run(
-                w, "stellar", lambda: stellar(data, parallel=spec)
-            )
-            p_sk = skyey_runner.run(
-                w, "skyey", lambda: skyey(data, parallel=spec)
-            )
-            identical: bool | None = None
-            for algo, point in (("stellar", p_st), ("skyey", p_sk)):
-                if point.seconds is None:
-                    continue
-                keys = [g.key for g in point.result.groups]
-                if w <= 1:
-                    serial_keys[algo] = keys
-                    serial_secs[algo] = point.seconds
-                elif algo in serial_keys:
-                    same = keys == serial_keys[algo]
-                    identical = same if identical is None else identical and same
-            rows.append(
-                [
-                    dist,
-                    n,
-                    w,
-                    p_st.seconds,
-                    _speedup(serial_secs.get("stellar"), p_st.seconds),
-                    p_sk.seconds,
-                    _speedup(serial_secs.get("skyey"), p_sk.seconds),
-                    identical,
-                ]
-            )
-    return FigureResult(
-        figure="Figure 12w",
-        title="Parallel scalability w.r.t. workers at the largest database "
-        "size (correlated d=6, equal d=4, anti-correlated d=4)",
-        headers=[
-            "distribution",
-            "tuples",
-            "workers",
-            "stellar_s",
-            "stellar_speedup",
-            "skyey_s",
-            "skyey_speedup",
-            "identical",
-        ],
-        rows=rows,
-        notes=[
-            "workers=1 is the serial reference; speedups are serial/parallel",
-            "'identical' asserts the parallel compressed cube equals the "
-            "serial one (None until both points exist)",
-            f"host exposes {default_workers()} usable CPU(s); speedups "
-            "above 1 require at least as many CPUs as workers",
-        ],
-    )
-
-
-def _speedup(serial_s: float | None, parallel_s: float | None) -> float | None:
-    if not serial_s or not parallel_s:
-        return None
-    return serial_s / parallel_s
-
-
 def _cube_sizes(data: Dataset) -> tuple[int, int]:
     """(#skyline groups, #subspace skyline objects) via the compressed cube."""
     result = stellar(data)
@@ -303,7 +220,6 @@ FIGURES: dict[str, Callable[..., FigureResult]] = {
     "fig10": figure10,
     "fig11": figure11,
     "fig12": figure12,
-    "fig12w": figure12_workers,
 }
 
 

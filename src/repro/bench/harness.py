@@ -44,9 +44,6 @@ class Scale:
     time_budget:
         Per-point seconds after which an algorithm is skipped for the rest
         of a sweep.
-    workers_sweep:
-        Worker counts of the parallel-scalability axis (``fig12w``);
-        1 means the serial reference path.
     """
 
     name: str
@@ -57,7 +54,6 @@ class Scale:
     corr_max_dim: int
     other_max_dim: int
     time_budget: float
-    workers_sweep: tuple[int, ...] = (1, 2, 4)
 
 
 SCALES: dict[str, Scale] = {

@@ -4,12 +4,11 @@ Figures answer "what does the curve look like *today*"; the ledger answers
 "how has it moved *across runs*".  Every benchmark invocation appends one
 normalized :class:`LedgerEntry` -- workload identity, per-algorithm total
 seconds, dominance-comparison counts (the hardware-independent cost unit
-of the skyline literature), parallel backend and worker count, host shape
--- to ``BENCH_<figure>.json``, a small JSON document that lives next to
-the code and is meant to be committed.  ``repro bench diff`` compares two
-entries of a ledger and exits non-zero when any cost metric regressed
-beyond a threshold, which is what lets CI gate on the trajectory instead
-of a single run.
+of the skyline literature), host shape -- to ``BENCH_<figure>.json``, a
+small JSON document that lives next to the code and is meant to be
+committed.  ``repro bench diff`` compares two entries of a ledger and
+exits non-zero when any cost metric regressed beyond a threshold, which
+is what lets CI gate on the trajectory instead of a single run.
 
 Entries are comparable only between same-figure, same-scale runs on
 similar hardware; the comparison-count metrics are machine-independent and
@@ -19,6 +18,7 @@ therefore the strongest regression signal in the file.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import time
 from contextlib import contextmanager
@@ -32,12 +32,12 @@ except ImportError:  # pragma: no cover - non-POSIX hosts
     fcntl = None
 
 from ..core.dominance import COMPARISONS
-from ..parallel import default_workers
 from .reporting import FigureResult
 
 __all__ = [
     "LEDGER_FORMAT",
     "LedgerEntry",
+    "host_cpus",
     "Regression",
     "normalize_metric",
     "ledger_path",
@@ -81,8 +81,6 @@ class LedgerEntry:
     created: float
     metrics: dict[str, float]
     workload: dict = field(default_factory=dict)
-    parallel: str = "serial"
-    workers: int = 1
     host_cpus: int = 1
     python: str = ""
 
@@ -96,15 +94,17 @@ class LedgerEntry:
                 k: normalize_metric(v) for k, v in self.metrics.items()
             },
             "workload": dict(self.workload),
-            "parallel": self.parallel,
-            "workers": self.workers,
             "host_cpus": self.host_cpus,
             "python": self.python,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LedgerEntry":
-        """Rebuild an entry from its :meth:`to_dict` payload (lenient)."""
+        """Rebuild an entry from its :meth:`to_dict` payload (lenient).
+
+        Unknown keys are ignored, so entries written with the retired
+        ``parallel``/``workers`` fields still load.
+        """
         return cls(
             figure=payload["figure"],
             scale=payload.get("scale", "default"),
@@ -114,11 +114,17 @@ class LedgerEntry:
                 for k, v in payload.get("metrics", {}).items()
             },
             workload=dict(payload.get("workload", {})),
-            parallel=payload.get("parallel", "serial"),
-            workers=int(payload.get("workers", 1)),
             host_cpus=int(payload.get("host_cpus", 1)),
             python=payload.get("python", ""),
         )
+
+
+def host_cpus() -> int:
+    """The CPUs usable by this process (recorded on every entry)."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux hosts
+        return max(1, os.cpu_count() or 1)
 
 
 def ledger_path(directory: str | Path, figure: str) -> Path:
@@ -190,8 +196,6 @@ def entry_from_result(
     figure: str,
     scale: str,
     comparisons: int,
-    parallel: str = "serial",
-    workers: int = 1,
 ) -> LedgerEntry:
     """Normalize one :class:`FigureResult` into a ledger entry.
 
@@ -220,9 +224,7 @@ def entry_from_result(
         created=time.time(),
         metrics=metrics,
         workload={"figure": result.figure, "title": result.title},
-        parallel=parallel,
-        workers=workers,
-        host_cpus=default_workers(),
+        host_cpus=host_cpus(),
         python=platform.python_version(),
     )
 

@@ -42,8 +42,7 @@ Subcommands
 Every subcommand additionally accepts the observability flags
 ``--trace[=FILE]``, ``--metrics``, ``--profile``, ``--log-json[=LEVEL]``,
 ``--slowlog[=N]``, ``--flight[=N]``, and ``--progress[=MODE]`` (see
-docs/OBSERVABILITY.md) and the execution flags ``--parallel[=SPEC]``
-(see docs/PARALLEL.md).
+docs/OBSERVABILITY.md).
 
 The flight recorder is always on (ring buffer only; dumped on crash or
 ``SIGUSR1``), and a resource heartbeat samples RSS/CPU once per second;
@@ -76,13 +75,6 @@ observability (accepted by every subcommand; see docs/OBSERVABILITY.md):
                    crash/SIGUSR1; the ring itself is always on
   --progress[=MODE]  live progress on stderr; MODE is tty | json | off |
                    auto (default auto: tty when stderr is a terminal)
-
-execution (accepted by every subcommand; see docs/PARALLEL.md):
-  --parallel[=SPEC]  run the hot paths on a worker pool; SPEC is a worker
-                     count (e.g. 4), serial, auto[:N], thread[:N], or
-                     process[:N]; bare --parallel means auto (size-based).
-                     Without the flag everything runs serially.
-                     Outputs are bit-identical to serial runs.
 """
 
 
@@ -149,17 +141,6 @@ def _obs_parent() -> argparse.ArgumentParser:
         metavar="MODE",
         help="live progress (phase, items done/total, rate, ETA) on "
         "stderr; MODE is tty | json | off | auto (default auto)",
-    )
-    execution = parent.add_argument_group("execution")
-    execution.add_argument(
-        "--parallel",
-        nargs="?",
-        const="auto",
-        default=None,
-        metavar="SPEC",
-        help="parallel execution spec: a worker count, serial, auto[:N], "
-        "thread[:N], or process[:N]; bare --parallel selects the backend "
-        "by data size (see docs/PARALLEL.md)",
     )
     return parent
 
@@ -301,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "figure",
-        help="fig8 | fig9 | fig10 | fig11 | fig12 | fig12w | all | diff",
+        help="fig8 | fig9 | fig10 | fig11 | fig12 | all | diff",
     )
     p_bench.add_argument(
         "--scale", default="default", help="smoke | default | paper"
@@ -811,16 +792,12 @@ def _with_telemetry(handler, args: argparse.Namespace) -> int:
     output unless the process crashes, receives ``SIGUSR1``, or ``--flight``
     was passed, which also dumps at exit), and a heartbeat thread samples
     process vitals (interval from ``REPRO_HEARTBEAT``; ``off`` disables).
-    ``--progress`` switches the stderr progress stream on.  ``--parallel``
-    installs the process default parallel configuration for the command
-    (plain global state, so the HTTP handler threads of ``serve`` see it
-    too) and restores the previous one when the command returns or raises.
+    ``--progress`` switches the stderr progress stream on.
     An unhandled exception propagates *past* this frame to the
     interpreter's top level, where the installed excepthook writes the
     crash dump -- so nothing here may swallow it.
     """
     import os
-    from contextlib import nullcontext
 
     from .obs.flight import (
         DEFAULT_CAPACITY,
@@ -833,16 +810,6 @@ def _with_telemetry(handler, args: argparse.Namespace) -> int:
         start_heartbeat,
         stop_heartbeat,
     )
-    from .parallel import default_parallel, parse_parallel_spec
-
-    parallel_spec: str | None = getattr(args, "parallel", None)
-    parallel_default = nullcontext()
-    if parallel_spec is not None:
-        try:
-            parallel_default = default_parallel(parse_parallel_spec(parallel_spec))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
 
     capacity = DEFAULT_CAPACITY
     flight_spec: str | None = getattr(args, "flight", None)
@@ -900,8 +867,7 @@ def _with_telemetry(handler, args: argparse.Namespace) -> int:
         start_heartbeat(interval)
 
     try:
-        with parallel_default:
-            return _run_observed(handler, args)
+        return _run_observed(handler, args)
     finally:
         stop_heartbeat()
         if progress_spec is not None:
@@ -1353,14 +1319,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _run_observed(handler, args: argparse.Namespace) -> int:
-    """Run a subcommand under the observability/execution flags, if any.
+    """Run a subcommand under the observability flags, if any.
 
     ``--trace``/``--profile`` install a process-global tracer for the
     duration of the command; ``--metrics`` prints the metrics registry
     (latency histograms, dominance-comparison totals) afterwards;
-    ``--log-json`` switches structured JSON logging on process-wide (and,
-    through the worker initializer, in parallel workers); ``--slowlog``
-    sizes the slow-query log and dumps it on exit.  Without any of the
+    ``--log-json`` switches structured JSON logging on process-wide;
+    ``--slowlog`` sizes the slow-query log and dumps it on exit.  Without any of the
     flags the handler runs untouched -- the disabled-mode fast path of
     :mod:`repro.obs` costs nothing.
     """
@@ -1624,10 +1589,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench.ledger import append_entry, entry_from_result, ledger_path
     from .core.dominance import COMPARISONS
     from .obs.progress import ProgressTask
-    from .parallel import resolve_parallel
 
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]
-    config = resolve_parallel()
     for name in names:
         comparisons_before = COMPARISONS.value
         # Points tick the ambient task as they finish (BudgetedRunner.run);
@@ -1642,8 +1605,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 figure=name,
                 scale=args.scale,
                 comparisons=COMPARISONS.value - comparisons_before,
-                parallel=config.backend,
-                workers=config.effective_workers,
             )
             # Ledgers live next to the figure tables when --out is given,
             # else in the working directory (where the committed

@@ -156,16 +156,6 @@ class PairwiseMatrices:
         """Mask of the full space the matrices range over."""
         return self._full
 
-    @property
-    def sub_matrix(self) -> np.ndarray:
-        """Minimized rows of the covered objects, in ``indices`` order."""
-        return self._sub
-
-    @property
-    def pack_weights(self) -> np.ndarray:
-        """Per-dimension bit weights used to pack comparisons into masks."""
-        return self._pow2
-
     def dom_row_array(self, i: int) -> np.ndarray:
         """Row ``dom[i, *]`` as a packed numpy vector (local index ``i``)."""
         row = self._dom_rows.get(i)

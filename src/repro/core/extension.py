@@ -44,8 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..obs.progress import ProgressTask, tick
-from ..parallel import chunk_ranges, get_shared, map_shards, resolve_parallel
+from ..obs.progress import tick
 from .bitset import closed_masks, distinct_masks, is_subset
 from .dominance import PairwiseMatrices
 from .hitting import minimal_hitting_sets
@@ -54,10 +53,6 @@ from .types import Dataset, SkylineGroup
 
 __all__ = ["extend_with_nonseeds", "share_and_beat_masks", "closed_masks"]
 
-#: ``auto`` engages the pool only above this many non-seed rows, the unit
-#: the share-map equality join's cost grows with (~0.8 µs a row; on 2 vCPU a
-#: process pool did not beat the serial join even at 500,000 rows).
-_PARALLEL_FLOOR = 1 << 20
 #: Most candidate (group, non-seed) pairs one block of the share-map join
 #: materialises; bounds its pairwise temporaries.
 _PAIR_BUDGET = 1 << 18
@@ -97,9 +92,7 @@ def _share_maps_block(
     few; on tie-heavy data the cost approaches the dense ``groups ×
     non-seeds`` comparison, with memory still bounded per block.
 
-    ``ns_matrix``/``ns_ids`` may be any contiguous slice of the non-seeds
-    (the parallel path shards along that axis); per-group dict keys come
-    out in ascending ``ns_ids`` order either way.
+    Per-group dict keys come out in ascending ``ns_ids`` order.
     """
     n_groups = reps.shape[0]
     share_maps: list[dict[int, int]] = [dict() for _ in range(n_groups)]
@@ -159,15 +152,6 @@ def _share_maps_block(
     return share_maps
 
 
-def _share_map_shard(bounds: tuple[int, int]) -> list[dict[int, int]]:
-    """Shard worker: share maps restricted to one non-seed row range."""
-    reps, subspaces, ns_matrix, ns_ids, pow2 = get_shared()
-    start, stop = bounds
-    return _share_maps_block(
-        reps, subspaces, ns_matrix[start:stop], ns_ids[start:stop], pow2
-    )
-
-
 def _batched_share_maps(
     minimized: np.ndarray,
     nonseeds: list[int],
@@ -175,63 +159,28 @@ def _batched_share_maps(
     seed_groups: list[SeedGroup],
     rep_globals: list[int],
     pow2: np.ndarray,
-    parallel: object,
 ) -> list[dict[int, int]]:
-    """Share maps for every seed group, sharding non-seeds across workers.
-
-    Non-seed objects are folded in independently (Theorem 5), so the rows
-    of the share/beat broadcast split freely: each worker classifies one
-    contiguous slice of the non-seeds against *all* groups and the partial
-    per-group dicts merge by union.  Shards are ascending disjoint ranges
-    merged in shard order, so every per-group dict has exactly the serial
-    key order and the downstream decisive-subspace bindings are
-    deterministic.
-    """
-    n_groups = len(seed_groups)
-    if n_groups == 0:
+    """Share maps for every seed group, over all non-seeds at once."""
+    if not seed_groups:
         return []
-    m = ns_matrix.shape[0]
     reps = minimized[rep_globals, :]
     subspaces = np.array(
         [sg.subspace for sg in seed_groups],
         dtype=pow2.dtype if pow2.dtype != object else object,
     )
     ns_ids = np.asarray(nonseeds, dtype=np.int64)
-    config = resolve_parallel(parallel)
-    workers = config.plan(m, floor=_PARALLEL_FLOOR)
-    if workers <= 1 or m < 2 * workers:
-        return _share_maps_block(reps, subspaces, ns_matrix, ns_ids, pow2)
-    ranges = chunk_ranges(m, workers)
-    with ProgressTask("nonseed_extension.share_maps", total=m):
-        shards = map_shards(
-            "extension.share_maps",
-            _share_map_shard,
-            ranges,
-            config=config,
-            workers=workers,
-            shared=(reps, subspaces, ns_matrix, ns_ids, pow2),
-            progress=lambda i, _r: tick(ranges[i][1] - ranges[i][0]),
-        )
-    share_maps = shards[0]
-    for partial in shards[1:]:
-        for gi in range(n_groups):
-            if partial[gi]:
-                share_maps[gi].update(partial[gi])
-    return share_maps
+    return _share_maps_block(reps, subspaces, ns_matrix, ns_ids, pow2)
 
 
 def extend_with_nonseeds(
     dataset: Dataset,
     matrices: PairwiseMatrices,
     seed_groups: list[SeedGroup],
-    parallel: object = None,
 ) -> list[SkylineGroup]:
     """Fold the non-seed objects into the seed lattice (Theorem 5).
 
     Returns the complete set of skyline groups of the dataset, with members
     as global indices and projections in raw (user-facing) values.
-    ``parallel`` is a parallel-execution spec; ``None`` defers to the
-    process default.
     """
     minimized = dataset.minimized
     seed_set = set(matrices.indices)
@@ -249,7 +198,7 @@ def extend_with_nonseeds(
         matrices.indices[sg.representative] for sg in seed_groups
     ]
     share_maps = _batched_share_maps(
-        minimized, nonseeds, ns_matrix, seed_groups, rep_globals, pow2, parallel
+        minimized, nonseeds, ns_matrix, seed_groups, rep_globals, pow2
     )
 
     for seed_group, rep_global, shares in zip(

@@ -26,17 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs.progress import tick
-from ..parallel import chunk_ranges, get_shared, map_shards, resolve_parallel
 from .bitset import bit, distinct_masks, iter_bits
-from .dominance import COMPARISONS, PairwiseMatrices
+from .dominance import PairwiseMatrices
 from .hitting import minimal_hitting_sets
 from .types import Dataset
 
 __all__ = ["SeedGroup", "compute_seed_groups", "singleton_decisive"]
-
-#: ``auto`` engages the pool only above this many (c-group, seed) pairs;
-#: below it the clause scan is a handful of vectorised row operations.
-_PARALLEL_FLOOR = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,6 @@ def compute_seed_groups(
     dataset: Dataset,
     matrices: PairwiseMatrices,
     cgroups: list[tuple[tuple[int, ...], int]],
-    parallel: object = None,
 ) -> list[SeedGroup]:
     """Attach decisive subspaces to maximal c-groups, dropping non-groups.
 
@@ -92,8 +86,6 @@ def compute_seed_groups(
         Pairwise matrices over the seeds.
     cgroups:
         Output of :func:`repro.core.cgroups.enumerate_maximal_cgroups`.
-    parallel:
-        Parallel-execution spec; ``None`` defers to the process default.
 
     Returns
     -------
@@ -101,21 +93,12 @@ def compute_seed_groups(
     """
     seeds = matrices.indices
     k = len(seeds)
-    config = resolve_parallel(parallel)
-    workers = config.plan(len(cgroups) * max(k, 1), floor=_PARALLEL_FLOOR)
-    if workers > 1 and len(cgroups) > 1:
-        verdicts = _parallel_clause_verdicts(matrices, cgroups, config, workers)
-    else:
-        verdicts = []
-        for members, subspace in cgroups:
-            verdicts.append(
-                _clause_verdict(
-                    matrices.dom_row_array(members[0]), members, subspace, k
-                )
-            )
-            tick()
     groups: list[SeedGroup] = []
-    for (local_members, subspace), (keep, decisive) in zip(cgroups, verdicts):
+    for local_members, subspace in cgroups:
+        keep, decisive = _clause_verdict(
+            matrices.dom_row_array(local_members[0]), local_members, subspace, k
+        )
+        tick()
         if not keep:
             # Some outside seed u is never beaten inside B: the group's
             # projection is not exclusively in any skyline of a subspace
@@ -142,10 +125,7 @@ def _clause_verdict(
 
     ``dom_row`` is the representative's packed dominance row over all ``k``
     seeds; the clause family is ``B ∩ dom[rep, u]`` for every outside seed
-    ``u`` (Corollary 1).  Pure function of its inputs, so it computes the
-    same answer whether the row came from the parent's cached
-    :class:`~repro.core.dominance.PairwiseMatrices` or was re-derived
-    inside a pool worker.
+    ``u`` (Corollary 1).
     """
     mask = np.ones(k, dtype=bool)
     mask[list(local_members)] = False
@@ -158,45 +138,3 @@ def _clause_verdict(
     else:
         decisive = singleton_decisive(subspace)
     return True, decisive
-
-
-def _clause_shard(bounds: tuple[int, int]) -> list[tuple[bool, tuple[int, ...]]]:
-    """Shard worker: verdicts for one contiguous slice of the c-group list."""
-    sub, pow2, cgroups = get_shared()
-    start, stop = bounds
-    k = sub.shape[0]
-    out: list[tuple[bool, tuple[int, ...]]] = []
-    for local_members, subspace in cgroups[start:stop]:
-        rep = local_members[0]
-        # Same packed comparison as PairwiseMatrices.dom_row_array; counted
-        # identically so cost accounting survives the move into a worker.
-        COMPARISONS.add(k)
-        dom_row = (sub[rep] < sub).astype(pow2.dtype) @ pow2
-        out.append(_clause_verdict(dom_row, local_members, subspace, k))
-    return out
-
-
-def _parallel_clause_verdicts(
-    matrices: PairwiseMatrices,
-    cgroups: list[tuple[tuple[int, ...], int]],
-    config,
-    workers: int,
-) -> list[tuple[bool, tuple[int, ...]]]:
-    """Fan the clause scan out over contiguous c-group shards.
-
-    Workers re-derive dominance rows from the seed submatrix instead of
-    shipping the parent's row cache; shard outputs concatenate in shard
-    order, so the verdict list is element-for-element the serial one.
-    Progress ticks fire in the parent as each shard completes (workers
-    cannot reach the ambient progress task).
-    """
-    shards = map_shards(
-        "seeds.clauses",
-        _clause_shard,
-        chunk_ranges(len(cgroups), workers),
-        config=config,
-        workers=workers,
-        shared=(matrices.sub_matrix, matrices.pack_weights, cgroups),
-        progress=lambda _i, shard: tick(len(shard)),
-    )
-    return [verdict for shard in shards for verdict in shard]

@@ -27,7 +27,6 @@ import numpy as np
 
 from ..obs.progress import ProgressTask
 from ..obs.tracing import Span, SpanBackedTimings, Tracer, current_tracer
-from ..parallel import ParallelConfig, resolve_parallel
 from ..skyline import compute_skyline
 from .cgroups import enumerate_maximal_cgroups
 from .dominance import COMPARISONS, PairwiseMatrices
@@ -90,7 +89,6 @@ class StellarResult:
 def stellar(
     dataset: Dataset,
     bind_duplicates: bool = False,
-    parallel: object = None,
 ) -> StellarResult:
     """Compute the compressed skyline cube of ``dataset`` with Stellar.
 
@@ -106,18 +104,7 @@ def stellar(
         representative is expanded back to its duplicate set in the output.
         Off by default -- the core pipeline handles duplicates natively --
         but worthwhile on data with heavy exact duplication.
-    parallel:
-        Parallel-execution spec (``"process:4"``, a worker count, a
-        :class:`~repro.parallel.ParallelConfig`; see docs/PARALLEL.md).
-        ``None`` defers to the process default, which is serial unless the
-        CLI ``--parallel`` flag set it.  The resolved configuration is passed
-        to every phase explicitly.
-        The output is bit-identical to a serial run for every setting;
-        phase timing keys in :attr:`StellarResult.stats` are unchanged
-        because phases are orchestrated in the calling process and only
-        shard work moves to the pool.
     """
-    config = resolve_parallel(parallel)
     tracer = current_tracer()
     if tracer is None:
         # Record phase spans even without ambient tracing: StellarStats
@@ -127,12 +114,11 @@ def stellar(
         "stellar",
         n_objects=dataset.n_objects,
         n_dims=dataset.n_dims,
-        parallel=config.describe(),
     ) as root:
         if bind_duplicates and dataset.n_objects:
-            result = _stellar_bound(dataset, config, tracer)
+            result = _stellar_bound(dataset, tracer)
         else:
-            result = _stellar_core(dataset, config, tracer)
+            result = _stellar_core(dataset, tracer)
         result.stats.root_span = root
     return result
 
@@ -162,9 +148,7 @@ class _PhaseHandle:
         return self._handle.__exit__(*exc)
 
 
-def _stellar_core(
-    dataset: Dataset, config: ParallelConfig, tracer: Tracer
-) -> StellarResult:
+def _stellar_core(dataset: Dataset, tracer: Tracer) -> StellarResult:
     stats = StellarStats(n_objects=dataset.n_objects, n_dims=dataset.n_dims)
     if dataset.n_objects == 0:
         return StellarResult(groups=[], seed_groups=[], seeds=[], stats=stats)
@@ -173,7 +157,7 @@ def _stellar_core(
         with ProgressTask(
             "full_space_skyline", total=dataset.n_objects
         ) as task:
-            seeds = compute_skyline(dataset, None, parallel=config)
+            seeds = compute_skyline(dataset, None)
             task.advance(dataset.n_objects)
         sp.count("seeds", len(seeds))
     stats.n_seeds = len(seeds)
@@ -187,17 +171,13 @@ def _stellar_core(
 
     with _phase(tracer, "seed_decisive") as sp:
         with ProgressTask("seed_decisive", total=len(cgroups)):
-            seed_groups = compute_seed_groups(
-                dataset, matrices, cgroups, parallel=config
-            )
+            seed_groups = compute_seed_groups(dataset, matrices, cgroups)
         sp.count("seed_groups", len(seed_groups))
     stats.n_seed_groups = len(seed_groups)
 
     with _phase(tracer, "nonseed_extension") as sp:
         with ProgressTask("nonseed_extension", total=len(seed_groups)):
-            groups = extend_with_nonseeds(
-                dataset, matrices, seed_groups, parallel=config
-            )
+            groups = extend_with_nonseeds(dataset, matrices, seed_groups)
         sp.count("groups", len(groups))
     stats.n_groups = len(groups)
 
@@ -206,9 +186,7 @@ def _stellar_core(
     )
 
 
-def _stellar_bound(
-    dataset: Dataset, config: ParallelConfig, tracer: Tracer
-) -> StellarResult:
+def _stellar_bound(dataset: Dataset, tracer: Tracer) -> StellarResult:
     """Run the pipeline on distinct rows, then expand duplicate bindings.
 
     Soundness: exact duplicates coincide on every dimension, so they share
@@ -236,9 +214,9 @@ def _stellar_bound(
                 for pos, rep in enumerate(representatives)
             }
     if not bound:
-        return _stellar_core(dataset, config, tracer)
+        return _stellar_core(dataset, tracer)
 
-    inner = _stellar_core(reduced, config, tracer)
+    inner = _stellar_core(reduced, tracer)
 
     def expand_members(members) -> frozenset[int]:
         out: set[int] = set()

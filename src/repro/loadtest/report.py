@@ -28,7 +28,7 @@ import platform
 import time
 from dataclasses import dataclass, field
 
-from ..bench.ledger import LedgerEntry
+from ..bench.ledger import LedgerEntry, host_cpus
 from ..obs.slo import SLOReport
 from .runner import LoadtestResult, RequestRecord
 
@@ -441,14 +441,6 @@ def report_entry(
         created=time.time(),
         metrics=metrics,
         workload=workload,
-        parallel="serial",
-        workers=1,
-        host_cpus=_host_cpus(),
+        host_cpus=host_cpus(),
         python=platform.python_version(),
     )
-
-
-def _host_cpus() -> int:
-    from ..parallel import default_workers
-
-    return default_workers()

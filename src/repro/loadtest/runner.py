@@ -347,8 +347,7 @@ class _Runner:
         """One control-plane call under a fresh per-request trace context.
 
         Publishes and maintenance mutations go through here so even the
-        churn thread's requests are correlated end to end (those are the
-        ones that cross the server's process pool during cube rebuilds).
+        churn thread's requests are correlated end to end.
         """
         ctx = TraceContext.new(endpoint=endpoint)
         tracer = Tracer()

@@ -14,11 +14,7 @@ and a sampled flag.  It travels
   (:meth:`TraceContext.to_traceparent` / :func:`parse_traceparent`); the
   server echoes the resolved trace id back as ``x-repro-trace-id`` on
   every response, including sheds, so clients can name the server-side
-  trace of any request;
-* **across process pools** as a plain dict
-  (:meth:`TraceContext.to_dict` / :meth:`TraceContext.from_dict`)
-  attached to each shard payload by :func:`repro.parallel.map_shards`,
-  so worker spans stitch under the calling request's trace.
+  trace of any request.
 
 Sampling is *tail-based* and deterministic: :func:`trace_keep` hashes the
 trace id itself, so the loadtest client and the server independently
@@ -34,7 +30,7 @@ import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping
+from typing import Iterator
 
 __all__ = [
     "TRACEPARENT_HEADER",
@@ -87,8 +83,8 @@ class TraceContext:
     def new(cls, endpoint: str = "") -> "TraceContext":
         """Fresh root context with a random 128-bit trace id.
 
-        Uses :func:`os.urandom`, which is fork-safe: pool workers that
-        inherit module state still generate independent ids.
+        Uses :func:`os.urandom`, which is fork-safe: a forked child that
+        inherits module state still generates independent ids.
         """
         return cls(trace_id=os.urandom(16).hex(), endpoint=endpoint)
 
@@ -102,25 +98,6 @@ class TraceContext:
         return (
             f"00-{self.trace_id}-{format_span_id(self.parent_span_id)}"
             f"-{flags:02x}"
-        )
-
-    def to_dict(self) -> dict:
-        """Picklable form for shipping across process boundaries."""
-        return {
-            "trace_id": self.trace_id,
-            "parent_span_id": self.parent_span_id,
-            "sampled": self.sampled,
-            "endpoint": self.endpoint,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "TraceContext":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            trace_id=str(payload["trace_id"]),
-            parent_span_id=int(payload.get("parent_span_id", 0)),
-            sampled=bool(payload.get("sampled", True)),
-            endpoint=str(payload.get("endpoint", "")),
         )
 
 

@@ -8,9 +8,7 @@ an open span carries that span's ``span`` name and ``span_id``, so a log
 line can be joined back to the exact trace slice that produced it.
 
 :func:`configure_logging` is the process-wide entry point used by the CLI
-(``--log-json``), the bench harness, the example query service, and --
-via :func:`logging_config` -- re-applied inside process-pool workers so a
-sharded run logs consistently across processes.
+(``--log-json``), the bench harness and the example query service.
 
 Uses the stdlib :mod:`logging` machinery underneath: third-party handlers,
 level filtering, and ``logging.getLogger`` hierarchies all keep working.
@@ -82,7 +80,7 @@ class JsonFormatter(logging.Formatter):
 
 #: The handler installed by :func:`configure_logging`, if any.
 _HANDLER: logging.Handler | None = None
-#: The configuration it was installed with (picklable; see workers).
+#: The configuration it was installed with.
 _CONFIG: dict[str, Any] | None = None
 
 
@@ -95,8 +93,7 @@ def configure_logging(
     Idempotent and re-entrant: calling again replaces the previously
     installed handler (never stacking duplicates) and updates the level.
     Returns the effective configuration dict -- the same value
-    :func:`logging_config` reports, which :mod:`repro.parallel` ships to
-    process-pool workers so their records match the parent's format.
+    :func:`logging_config` reports.
 
     Parameters
     ----------
@@ -104,8 +101,7 @@ def configure_logging(
         A :mod:`logging` level name (``debug`` / ``info`` / ``warning`` /
         ``error``), case-insensitive.
     stream:
-        Destination stream; defaults to ``sys.stderr``.  Worker processes
-        always log to their own ``sys.stderr`` (streams do not pickle).
+        Destination stream; defaults to ``sys.stderr``.
     """
     global _HANDLER, _CONFIG
     numeric = logging.getLevelName(level.upper())
@@ -126,11 +122,7 @@ def configure_logging(
 
 
 def logging_config() -> dict[str, Any] | None:
-    """The active configuration, or None when logging was never configured.
-
-    Picklable by construction: process-pool initializers pass it to
-    :func:`configure_logging` inside each worker.
-    """
+    """The active configuration, or None when logging was never configured."""
     return dict(_CONFIG) if _CONFIG is not None else None
 
 

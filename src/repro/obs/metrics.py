@@ -13,12 +13,12 @@ reachable via :func:`registry` and is what the query engine and CLI use.
 :func:`reset_metrics` zeroes metrics *in place*, so call sites may cache
 metric handles across resets.
 
-Mutation is thread-safe: the thread backend of :mod:`repro.parallel`
-increments counters from worker threads, the heartbeat thread sets gauges
-concurrently with the build, and the Prometheus endpoint reads the
-registry from HTTP handler threads.  Each metric carries its own lock
-(allocated once at creation, so the hot mutation path allocates nothing),
-and registry-level get-or-create is guarded separately.
+Mutation is thread-safe: HTTP handler threads increment counters
+concurrently, the heartbeat thread sets gauges concurrently with the
+build, and the Prometheus endpoint reads the registry from its own
+handler threads.  Each metric carries its own lock (allocated once at
+creation, so the hot mutation path allocates nothing), and registry-level
+get-or-create is guarded separately.
 """
 
 from __future__ import annotations

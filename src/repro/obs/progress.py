@@ -6,9 +6,8 @@ metrics land when a phase *finishes*.  This module makes the in-flight
 state first-class:
 
 * :class:`ProgressTask` -- one named unit of work with an optional total,
-  advanced by the code doing the work (directly, via the ambient
-  :func:`tick`, or via :func:`repro.parallel.map_shards` shard-completion
-  callbacks).  Each throttled emission updates the ``build.*`` gauges
+  advanced by the code doing the work (directly or via the ambient
+  :func:`tick`).  Each throttled emission updates the ``build.*`` gauges
   (items done/total, rate), the ``build.phase`` info metric, the flight
   recorder, and -- opt-in -- a TTY progress line or JSON-per-line stream
   on stderr (CLI ``--progress[=tty|json|off]``).
@@ -20,9 +19,8 @@ state first-class:
   phase, progress counts, and memory) and in the flight recorder, with a
   full metrics snapshot every few beats.
 
-Progress state is process-local and advanced from the orchestrating
-process; worker processes see no ambient task, so :func:`tick` is a cheap
-no-op there and per-shard completions are reported by the parent instead.
+Progress state is process-local; with no ambient task :func:`tick` is a
+cheap no-op.
 """
 
 from __future__ import annotations
@@ -101,9 +99,8 @@ def current_task() -> "ProgressTask | None":
 def tick(n: int = 1) -> None:
     """Advance the innermost active task; a no-op when none is active.
 
-    This is what instrumented loops call: in the orchestrating process it
-    feeds the enclosing phase's task; inside a pool worker there is no
-    ambient task and the call costs one global read.
+    This is what instrumented loops call: it feeds the enclosing phase's
+    task; with no ambient task the call costs one global read.
     """
     if _TASKS:
         _TASKS[-1].advance(n)

@@ -3,8 +3,8 @@
 A :class:`TraceSink` is a bounded directory of NDJSON trace files, one
 file per kept trace (``<trace_id>.ndjson``), each line one finished span
 flattened with its ``span_id``/``parent_span_id`` so spans recorded by
-*different processes* -- the loadtest client, the serving process, and
-its pool workers -- can be stitched back into a single tree.
+*different processes* -- the loadtest client and the serving process --
+can be stitched back into a single tree.
 
 Sampling is **tail-based**: the keep/drop decision is made after the
 request finishes, when its outcome is known.
@@ -76,11 +76,6 @@ def span_records(
     ``*.ndjson`` files.  Each child links to its tree parent by
     ``parent_span_id``; the root keeps its own (the caller's span across a
     process boundary, 0 for a true root).
-
-    A span carrying a ``pid`` attribute keeps it as the record's pid --
-    that is how pool-worker shard spans, reconstructed in the parent
-    process by :func:`repro.parallel.map_shards`, stay attributed to the
-    worker that actually ran them.
     """
     pid = os.getpid() if pid is None else pid
     records: list[dict] = []
@@ -97,7 +92,7 @@ def span_records(
                 "attributes": dict(sp.attributes),
                 "counters": dict(sp.counters),
                 "source": source,
-                "pid": int(sp.attributes.get("pid", pid)),
+                "pid": pid,
             }
         )
         for child in sp.children:
@@ -155,10 +150,9 @@ class TraceSink:
         """Apply the sampling policy and, on keep, append ``records``.
 
         Returns True when the trace was (already or newly) persisted.
-        Records may arrive in several calls -- e.g. the serving span tree
-        first, a pool worker's shard subtree later -- and append to the
-        same file.  Unknown/malformed trace ids are dropped defensively
-        (the id becomes a filename).
+        Records may arrive in several calls -- e.g. the client's span tree
+        and the server's -- and append to the same file.  Unknown/malformed
+        trace ids are dropped defensively (the id becomes a filename).
         """
         if not _safe_trace_id(trace_id):
             self.dropped += 1
@@ -291,7 +285,7 @@ def assemble_trace(records: Sequence[Mapping]) -> list[TraceNode]:
     recorded (e.g. the client span when only the server side was kept)
     become roots.  Roots and children are ordered by start time -- valid
     across processes because span clocks are ``CLOCK_MONOTONIC`` of one
-    host (see docs/PARALLEL.md on shard-span reconstruction).
+    host.
     """
     nodes: dict[int, TraceNode] = {}
     for rec in records:
@@ -347,7 +341,7 @@ def classify_phase(name: str, inherited: str = "other") -> str:
         return "cache"
     if name.startswith(("query.", "skyline.")):
         return "scan"
-    if name in ("parallel.map", "shard") or name.startswith("stellar"):
+    if name.startswith("stellar"):
         return "kernel"
     if name.startswith("serve."):
         return "serve"
@@ -363,12 +357,12 @@ def _attribute_node(
     """Wall-clock attribution of ``node``'s subtree: (node, phase, self ns).
 
     A sweep over the direct children's intervals (clamped to the parent)
-    splits instants covered by k overlapping children -- parallel shards
-    -- equally, and each child's subtree is then compressed by the share
-    it actually owns.  The attributed self-times therefore *partition*
-    the root's wall-clock duration exactly, which is what lets the
-    ``repro trace critical-path`` phase table sum to the request's
-    measured latency even when pool workers ran concurrently.
+    splits instants covered by k overlapping children equally, and each
+    child's subtree is then compressed by the share it actually owns.
+    The attributed self-times therefore *partition* the root's wall-clock
+    duration exactly, which is what lets the ``repro trace critical-path``
+    phase table sum to the request's measured latency even when sibling
+    spans overlap.
     """
     sp = node.span
     end = sp.end_ns if sp.end_ns is not None else sp.start_ns

@@ -56,8 +56,8 @@ __all__ = [
 _SPAN_IDS = count(1)
 
 #: Random per-process high bits, lazily (re)seeded so span ids stay unique
-#: across the process pool: fork-based workers inherit this module's state,
-#: so the base is re-drawn whenever the pid changes.
+#: across processes: a forked child inherits this module's state, so the
+#: base is re-drawn whenever the pid changes.
 _ID_BASE: int | None = None
 _ID_PID: int = -1
 
@@ -393,17 +393,7 @@ class SpanBackedTimings:
 
     @property
     def timings(self) -> dict[str, float]:
-        """Per-phase wall-clock seconds (derived; see class docstring).
-
-        The keys are stable under parallel execution (docs/PARALLEL.md):
-        phases are always orchestrated -- and therefore spanned -- in the
-        calling process, while pool workers only ever contribute nested
-        ``parallel.map``/``shard`` spans *inside* a phase.  Deriving from
-        the root span's direct children thus yields the same keys whether
-        the run was serial or sharded, and each phase value is the phase's
-        true wall-clock (the parent blocks on its workers), not a sum of
-        per-worker clocks.
-        """
+        """Per-phase wall-clock seconds (derived; see class docstring)."""
         root = getattr(self, "root_span", None)
         if root is None:
             return {}
@@ -416,28 +406,3 @@ class SpanBackedTimings:
     def total_seconds(self) -> float:
         """Total wall-clock time across all phases."""
         return sum(self.timings.values())
-
-    @property
-    def shard_seconds(self) -> dict[str, float]:
-        """Per-phase seconds spent inside parallel shards (worker-measured).
-
-        Derived from the ``shard`` spans that :func:`repro.parallel.map_shards`
-        reconstructs from worker-reported clocks; empty for phases that ran
-        serially.  Comparing a phase's ``shard_seconds`` against its
-        ``timings`` entry shows the fan-out's parallel efficiency: summed
-        shard time well above the phase wall-clock means the pool overlapped
-        work, equal means it serialised.
-        """
-        root = getattr(self, "root_span", None)
-        if root is None:
-            return {}
-        out: dict[str, float] = {}
-        for child in root.children:
-            total = sum(
-                sp.duration_seconds
-                for sp in child.walk()
-                if sp.name == "shard"
-            )
-            if total:
-                out[child.name] = out.get(child.name, 0.0) + total
-        return out

@@ -162,6 +162,23 @@ def _require(params: dict, key: str) -> str:
         raise ValueError(f"missing parameter {key!r}") from None
 
 
+def _optional_str(body: dict, key: str) -> str | None:
+    """A JSON body field that must be a string when present."""
+    value = body.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ValueError(
+            f"parameter {key!r} must be a string, got {type(value).__name__}"
+        )
+    return value
+
+
+def _require_str(body: dict, key: str) -> str:
+    value = _optional_str(body, key)
+    if value is None:
+        raise ValueError(f"missing parameter {key!r}")
+    return value
+
+
 def _header_get(headers: dict | None, name: str) -> str | None:
     """Case-insensitive header lookup over a plain dict or Message object."""
     if not headers:
@@ -1001,14 +1018,14 @@ class CubeService:
         if method == "POST":
             if path == "/v1/snapshots/publish":
                 return self.publish_csv(
-                    _require(body, "name"),
-                    _require(body, "csv"),
+                    _require_str(body, "name"),
+                    _require_str(body, "csv"),
                     algorithm=body.get("algorithm", "stellar"),
                     activate=bool(body.get("activate", True)),
                 )
             if path == "/v1/snapshots/activate":
                 return self.activate(
-                    _require(body, "name"), _require(body, "version")
+                    _require_str(body, "name"), _require_str(body, "version")
                 )
             if path == "/v1/maintenance/insert":
                 row = body.get("row")
@@ -1016,15 +1033,16 @@ class CubeService:
                     raise ValueError("insert needs a non-empty 'row' list")
                 return self.maintenance_insert(
                     row,
-                    label=body.get("label"),
-                    snapshot=body.get("snapshot"),
+                    label=_optional_str(body, "label"),
+                    snapshot=_optional_str(body, "snapshot"),
                 )
             if path == "/v1/maintenance/delete":
                 return self.maintenance_delete(
-                    _require(body, "label"), snapshot=body.get("snapshot")
+                    _require_str(body, "label"),
+                    snapshot=_optional_str(body, "snapshot"),
                 )
             if path == "/v1/maintenance/compact":
-                return self.compact(snapshot=body.get("snapshot"))
+                return self.compact(snapshot=_optional_str(body, "snapshot"))
         raise UnknownSnapshotError(f"no such endpoint: {method} {path}")
 
 

@@ -70,23 +70,6 @@ class SubspaceSearch:
         """``(subspace, sorted skyline)`` of every subspace, depth-first."""
         return self._walk(self.full, self.minimized.shape[1], self._root_seed())
 
-    def root(self) -> np.ndarray:
-        """The full space's skyline: the first node, alone."""
-        return self._skyline(self.full, self._root_seed())
-
-    def subtree(
-        self, d: int, full_skyline: np.ndarray
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """The nodes under ``full & ~(1 << d)``, given the full skyline.
-
-        The root followed by the subtrees ``d = 0 .. n_dims - 1`` in order
-        are exactly :meth:`nodes`, in the same order; each subtree depends
-        only on the data and the root, so subtrees can run in parallel.
-        """
-        child = self.full & ~(1 << d)
-        seed = self._child_seed(self._root_seed(), full_skyline, d, child)
-        return self._walk(child, d, seed)
-
     def _root_seed(self) -> np.ndarray:
         if self.candidate_pruning:
             return np.arange(self.minimized.shape[0])

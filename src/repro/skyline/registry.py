@@ -10,12 +10,7 @@ from ..core.dominance import COMPARISONS
 from ..core.types import Dataset
 from ..obs.flight import record as flight_record
 from ..obs.tracing import current_tracer
-from ..parallel import (
-    PARTITIONABLE_ALGORITHMS,
-    partitioned_skyline,
-    resolve_parallel,
-)
-from .base import skyline_brute, subspace_columns
+from .base import skyline_brute
 from .numpy_skyline import skyline_numpy
 from .sfs import skyline_sfs
 
@@ -41,7 +36,6 @@ def compute_skyline(
     data: Dataset | np.ndarray,
     subspace: int | None = None,
     algorithm: str = "auto",
-    parallel: object = None,
 ) -> list[int]:
     """Compute the skyline of ``data`` in ``subspace``.
 
@@ -54,13 +48,6 @@ def compute_skyline(
         Dimension bitmask; ``None`` means the full space.
     algorithm:
         One of ``"auto"`` or a key of :data:`SKYLINE_ALGORITHMS`.
-    parallel:
-        Parallel-execution spec (see :mod:`repro.parallel`); ``None`` defers
-        to the process default (the CLI ``--parallel`` flag).  When the
-        resolved configuration engages and the algorithm supports chunking
-        (:data:`~repro.parallel.PARTITIONABLE_ALGORITHMS`), the skyline is
-        computed via partition-local skylines plus an exact merge -- the
-        result is bit-identical to the serial path.
 
     Returns
     -------
@@ -90,16 +77,6 @@ def compute_skyline(
         n_objects=int(matrix.shape[0]),
         subspace=subspace,
     )
-    config = resolve_parallel(parallel)
-    workers = (
-        config.plan(matrix.shape[0])
-        if name in PARTITIONABLE_ALGORITHMS
-        else 0
-    )
-    if workers > 1:
-        proj = subspace_columns(matrix, subspace)
-        return partitioned_skyline(proj, name, config, workers)
-
     tracer = current_tracer()
     if tracer is None:
         return fn(matrix, subspace)

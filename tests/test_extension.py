@@ -219,7 +219,7 @@ class TestShareMapJoin:
     )
     def test_pair_budget_of_one_leaves_stellar_unchanged(self, values):
         ds = Dataset(values=values)
-        expected = stellar(ds, parallel="serial").groups
+        expected = stellar(ds).groups
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(extension, "_PAIR_BUDGET", 1)
-            assert stellar(ds, parallel="serial").groups == expected
+            assert stellar(ds).groups == expected

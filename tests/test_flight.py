@@ -40,7 +40,6 @@ from repro.obs import (
 )
 from repro.obs.flight import FlightRecorder
 from repro.obs.progress import Heartbeat, cpu_seconds, rss_bytes
-from repro.parallel import ParallelConfig, map_shards
 from repro.serve import CubeService, SnapshotStore, start_server
 
 
@@ -243,75 +242,21 @@ class TestProgressTask:
 
 
 class TestMapShardsProgress:
-    def _config(self, backend):
-        return ParallelConfig(backend=backend, workers=2)
+    """Per-item progress from Stellar's per-c-group and per-group stages."""
 
-    def test_serial_path_fires_per_item(self):
-        seen = []
-        results = map_shards(
-            "t.serial",
-            _double,
-            [1, 2, 3],
-            config=self._config("serial"),
-            workers=1,
-            progress=lambda i, r: seen.append((i, r)),
-        )
-        assert results == [2, 4, 6]
-        assert seen == [(0, 2), (1, 4), (2, 6)]
-
-    def test_thread_pool_fires_for_every_shard(self):
-        seen = []
-        lock = threading.Lock()
-
-        def on_progress(i, result):
-            with lock:
-                seen.append((i, result))
-
-        results = map_shards(
-            "t.thread",
-            _double,
-            list(range(8)),
-            config=self._config("thread"),
-            workers=2,
-            progress=on_progress,
-        )
-        assert results == [i * 2 for i in range(8)]
-        assert sorted(seen) == [(i, i * 2) for i in range(8)]
-
-    def test_shard_failure_still_raises(self):
-        with pytest.raises(RuntimeError, match="shard 2"):
-            map_shards(
-                "t.fail",
-                _fail_on_two,
-                [0, 1, 2, 3],
-                config=self._config("thread"),
-                workers=2,
-                progress=lambda i, r: None,
-            )
-
-    def test_ambient_tick_advances_parent_from_shard_completions(
-        self, clean_telemetry
-    ):
-        with ProgressTask("fanout", total=6) as task:
-            map_shards(
-                "t.tick",
-                _double,
-                list(range(6)),
-                config=self._config("thread"),
-                workers=2,
-                progress=lambda i, r: tick(),
-            )
-            assert task.done == 6
-
-
-def _double(x):
-    return x * 2
-
-
-def _fail_on_two(x):
-    if x == 2:
-        raise RuntimeError("shard 2 exploded")
-    return x
+    def test_serial_path_fires_per_item(self, flight, clean_telemetry):
+        result = stellar(make_dataset("independent", 120, 4, seed=7))
+        ends = {
+            e["phase"]: e
+            for e in flight.events()
+            if e["kind"] == "progress.end"
+        }
+        seed_end = ends["seed_decisive"]
+        assert seed_end["total"] == result.stats.n_maximal_cgroups
+        assert seed_end["done"] == seed_end["total"]
+        ext_end = ends["nonseed_extension"]
+        assert ext_end["total"] == result.stats.n_seed_groups
+        assert ext_end["done"] == ext_end["total"]
 
 
 # -- heartbeat --------------------------------------------------------------

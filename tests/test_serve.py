@@ -344,6 +344,27 @@ class TestCubeService:
         assert payload["error"] == "bad_request"
         assert "finite" in payload["detail"]
 
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/v1/snapshots/publish", {"name": 5, "csv": "label,A:min\nP1,1\n"}),
+            ("/v1/snapshots/publish", {"name": "s", "csv": 123}),
+            ("/v1/snapshots/activate", {"name": "routes", "version": None}),
+            ("/v1/snapshots/activate", {"name": "routes", "version": [1]}),
+            ("/v1/snapshots/activate", {"name": ["s"], "version": "v000001"}),
+            ("/v1/maintenance/insert", {"row": [1, 2], "snapshot": 5}),
+            ("/v1/maintenance/insert", {"row": [1, 2], "label": ["x"]}),
+            ("/v1/maintenance/delete", {"label": "P1", "snapshot": ["s"]}),
+            ("/v1/maintenance/delete", {"label": 5}),
+            ("/v1/maintenance/compact", {"snapshot": 5}),
+            ("/v1/maintenance/compact", {"snapshot": ["s"]}),
+        ],
+    )
+    def test_non_string_body_field_is_bad_request(self, service, path, body):
+        status, payload, _ = service.handle_http("POST", path, {}, body)
+        assert status == 400
+        assert payload["error"] == "bad_request"
+
     def test_http_error_mapping(self, service):
         status, payload, _ = service.handle_http(
             "GET", "/v1/skyline", {"subspace": ["bogus,dims"]}, {}

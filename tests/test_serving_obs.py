@@ -56,7 +56,6 @@ from repro.obs import (
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.tracing import Span
 from repro.serve import CubeService, SnapshotStore, start_server
-from repro.parallel.backend import _init_worker
 
 
 @pytest.fixture(autouse=True)
@@ -134,12 +133,6 @@ class TestStructuredLogging:
         configure_logging("info", stream=io.StringIO())
         reset_logging()
         assert logging_config() is None
-
-    def test_worker_initializer_applies_logging_config(self):
-        # The process-pool initializer re-applies the parent's config so
-        # worker records match; exercised inline here.
-        _init_worker(None, {"level": "debug"})
-        assert logging_config() == {"level": "debug"}
 
     def test_exceptions_serialised(self):
         stream = io.StringIO()
@@ -509,6 +502,35 @@ class TestLedger:
         assert loaded == [first, second]
         assert json.loads(path.read_text())["format"] == LEDGER_FORMAT
 
+    def test_legacy_parallel_fields_load_and_diff(self, tmp_path):
+        # Entries written before the ledger dropped its ``parallel`` and
+        # ``workers`` fields (the committed BENCH_fig8.json has one) must
+        # still load, round-trip without them and diff.
+        legacy = {
+            "figure": "fig8",
+            "scale": "smoke",
+            "created": 1000.0,
+            "metrics": {"stellar_total_s": 0.5, "points_measured": 6},
+            "workload": {"figure": "Figure 8"},
+            "parallel": "serial",
+            "workers": 1,
+            "host_cpus": 2,
+            "python": "3.11.7",
+        }
+        path = ledger_path(tmp_path, "fig8")
+        path.write_text(
+            json.dumps({"format": LEDGER_FORMAT, "entries": [legacy]})
+        )
+        (base,) = load_entries(path)
+        assert base.host_cpus == 2
+        assert "parallel" not in base.to_dict()
+        cand = _entry({"stellar_total_s": 1.0, "points_measured": 6})
+        append_entry(path, cand)
+        assert load_entries(path) == [base, cand]
+        by_name = {d.metric: d for d in diff_entries(base, cand, 0.5)}
+        assert by_name["stellar_total_s"].regressed
+        assert not by_name["points_measured"].regressed
+
     def test_load_missing_file_is_empty(self, tmp_path):
         assert load_entries(tmp_path / "BENCH_nope.json") == []
 
@@ -526,14 +548,13 @@ class TestLedger:
             rows=[[2, 0.1, 0.4], [3, 0.2, None], [4, 0.3, 0.6]],
         )
         entry = entry_from_result(
-            result, figure="fig8", scale="smoke", comparisons=1234,
-            parallel="thread", workers=4,
+            result, figure="fig8", scale="smoke", comparisons=1234
         )
         assert entry.metrics["stellar_total_s"] == pytest.approx(0.6)
         assert entry.metrics["skyey_total_s"] == pytest.approx(1.0)
         assert entry.metrics["points_measured"] == 3
         assert entry.metrics["dominance_comparisons"] == 1234
-        assert entry.parallel == "thread" and entry.workers == 4
+        assert entry.host_cpus >= 1
 
     def test_diff_flags_2x_regression(self):
         base = _entry({"stellar_total_s": 0.5, "dominance_comparisons": 100})

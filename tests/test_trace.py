@@ -1,10 +1,9 @@
 """Tests for end-to-end request correlation (PR 8).
 
 Covers the W3C ``traceparent`` codec and ContextVar plumbing
-(repro.obs.context), trace propagation across the process-pool boundary
-(repro.parallel.backend shipping the ambient context to workers), the
-serving layer's header contract (``x-repro-trace-id`` echoed on every
-response, sheds included), the tail-sampling trace sink with
+(repro.obs.context), the serving layer's header contract
+(``x-repro-trace-id`` echoed on every response, sheds included), the
+tail-sampling trace sink with
 cross-process reassembly and wall-clock phase attribution
 (repro.obs.tracesink), OpenMetrics exemplars + content negotiation
 (repro.obs.promexport), slow-query-log trace correlation, the loadtest
@@ -12,7 +11,6 @@ report's slowest-requests table, and the ``repro trace`` CLI.
 """
 
 import json
-import multiprocessing
 import os
 
 import pytest
@@ -31,8 +29,6 @@ from repro.obs import (
     TraceContext,
     configure_slow_query_log,
     current_trace_context,
-    disable_tracing,
-    enable_tracing,
     format_span_id,
     parse_traceparent,
     registry,
@@ -57,10 +53,7 @@ from repro.obs.tracesink import (
     span_records,
 )
 from repro.obs.tracing import Span, Tracer
-from repro.parallel import map_shards, parse_parallel_spec
 from repro.serve import AdmissionController, CubeService, SnapshotStore
-
-_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 TID = "0af7651916cd43dd8448eb211c80319c"
 STELLAR_PHASES = (
@@ -132,10 +125,6 @@ class TestTraceparent:
         assert format_span_id(0x1234) == "0000000000001234"
         assert len(format_span_id(2**64 + 5)) == 16
 
-    def test_dict_round_trip(self):
-        ctx = TraceContext.new("/v1/why-not").child(7)
-        assert TraceContext.from_dict(ctx.to_dict()) == ctx
-
 
 class TestTraceKeep:
     def test_deterministic(self):
@@ -167,55 +156,6 @@ class TestContextVar:
         assert outer.parent_span_id == 99
         assert inner.trace_id == ctx.trace_id
         assert inner.parent_span_id == outer.span_id
-
-
-# -- propagation across the pool boundary ------------------------------------
-
-
-def _shard_context(_item):
-    ctx = current_trace_context()
-    return (ctx.trace_id if ctx else None, os.getpid())
-
-
-BACKENDS = ["thread:2"] + (["process:2"] if _FORK else [])
-
-
-class TestPoolPropagation:
-    @pytest.mark.parametrize("spec", BACKENDS)
-    def test_workers_see_the_request_context(self, spec):
-        config = parse_parallel_spec(spec)
-        ctx = TraceContext.new()
-        tracer = enable_tracing()
-        try:
-            with use_trace_context(ctx):
-                out = map_shards(
-                    "test",
-                    _shard_context,
-                    list(range(4)),
-                    config=config,
-                    workers=2,
-                )
-        finally:
-            disable_tracing()
-        assert [tid for tid, _ in out] == [ctx.trace_id] * 4
-        if spec.startswith("process"):
-            assert any(pid != os.getpid() for _, pid in out)
-        # The reconstructed shard spans stitch under parallel.map with the
-        # worker-allocated identity.
-        (root,) = tracer.roots
-        assert root.name == "parallel.map"
-        shards = [s for s in root.children if s.name == "shard"]
-        assert len(shards) == 4
-        assert all(s.trace_id == ctx.trace_id for s in shards)
-        assert all(s.parent_span_id == root.span_id for s in shards)
-        assert all(s.span_id for s in shards)
-
-    def test_no_context_means_no_shipping(self):
-        config = parse_parallel_spec("thread:2")
-        out = map_shards(
-            "test", _shard_context, [1, 2], config=config, workers=2
-        )
-        assert [tid for tid, _ in out] == [None, None]
 
 
 # -- serving header contract -------------------------------------------------
@@ -390,7 +330,7 @@ class TestAssembleAndCriticalPath:
 
     def test_orphan_becomes_root(self):
         records = span_records(
-            _span("shard", 0, 5, 3, parent=999), trace_id=TID
+            _span("serve.request", 0, 5, 3, parent=999), trace_id=TID
         )
         roots = assemble_trace(records)
         assert len(roots) == 1
@@ -398,11 +338,11 @@ class TestAssembleAndCriticalPath:
     def test_attribution_partitions_the_root_duration(self):
         ms = 1_000_000
         root = _span("serve.request", 0, 100 * ms, 1)
-        par = _span("parallel.map", 10 * ms, 90 * ms, 2, 1)
-        # Two shards overlapping in wall-clock: their split must not
+        par = _span("stellar", 10 * ms, 90 * ms, 2, 1)
+        # Two children overlapping in wall-clock: their split must not
         # double-count the overlapped 60ms.
-        par.children.append(_span("shard", 10 * ms, 80 * ms, 3, 2))
-        par.children.append(_span("shard", 20 * ms, 90 * ms, 4, 2))
+        par.children.append(_span("seed_decisive", 10 * ms, 80 * ms, 3, 2))
+        par.children.append(_span("nonseed_extension", 20 * ms, 90 * ms, 4, 2))
         root.children.append(par)
         roots = assemble_trace(span_records(root, trace_id=TID))
         out = critical_path(roots)
@@ -410,11 +350,6 @@ class TestAssembleAndCriticalPath:
         assert out["attributed_s"] == pytest.approx(out["total_s"])
         assert out["phases"]["kernel"] == pytest.approx(0.08)
         assert out["phases"]["serve"] == pytest.approx(0.02)
-
-    def test_worker_pid_attribute_wins(self):
-        sp = _span("shard", 0, 5, 3, pid=4242)
-        (rec,) = span_records(sp, trace_id=TID, pid=1)
-        assert rec["pid"] == 4242
 
     def test_stellar_phases_inherit_kernel_under_a_request(self, running_example):
         tracer = Tracer()
@@ -427,11 +362,11 @@ class TestAssembleAndCriticalPath:
             assert phase_of[name] == "kernel"
 
     def test_unparented_span_record_links_to_its_tree_parent(self):
-        # Shard spans rebuilt from worker clocks carry no parent_span_id.
-        root = _span("parallel.map", 0, 10, 1)
-        root.children.append(Span(name="shard", start_ns=1, end_ns=9))
+        # A span appended by hand carries no parent_span_id.
+        root = _span("stellar", 0, 10, 1)
+        root.children.append(Span(name="seed_decisive", start_ns=1, end_ns=9))
         (node,) = assemble_trace(span_records(root, trace_id=TID))
-        assert [c.span.name for c in node.children] == ["shard"]
+        assert [c.span.name for c in node.children] == ["seed_decisive"]
 
 
 # -- OpenMetrics exemplars ---------------------------------------------------
