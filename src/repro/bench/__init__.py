@@ -8,7 +8,6 @@ Figure 9   skyline groups vs subspace skyline objects, NBA-like data
 Figure 10  the same two counts on the three synthetic distributions
 Figure 11  runtime vs dimensionality on the three distributions
 Figure 12  runtime vs database size on the three distributions
-Fig. 12w   runtime vs worker count at the largest database size
 =========  ==========================================================
 
 Runners accept a *scale* preset (``smoke`` / ``default`` / ``paper``):

@@ -11,7 +11,7 @@ Subcommands
 ``skyline``
     One skyline query (full space or a named subspace) over a CSV dataset.
 ``cube``
-    Precompute the compressed cube and persist it to JSON.
+    Precompute the compressed cube and persist it to a cube file.
 ``query``
     Answer the paper's Q1/Q2 queries (plus top-k frequency) from the
     compressed cube, optionally loading a persisted one.
@@ -204,14 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cube = sub.add_parser(
         "cube",
-        help="precompute the compressed cube and save it to JSON",
+        help="precompute the compressed cube (Stellar) and save it to a file",
         parents=[obs],
     )
     p_cube.add_argument("--input", required=True, help="dataset CSV")
-    p_cube.add_argument("--out", required=True, help="cube JSON path")
-    p_cube.add_argument(
-        "--algorithm", default="stellar", choices=["stellar", "skyey"]
-    )
+    p_cube.add_argument("--out", required=True, help="output cube file path")
 
     p_query = sub.add_parser(
         "query", help="query the compressed cube", parents=[obs]
@@ -220,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument(
         "--cube",
         default=None,
-        help="saved cube JSON (from the `cube` subcommand); "
+        help="saved cube file (from the `cube` subcommand); "
         "recomputed on the fly when omitted",
     )
     group = p_query.add_mutually_exclusive_group(required=True)
@@ -268,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_analyze.add_argument("--input", required=True, help="dataset CSV")
     p_analyze.add_argument(
-        "--cube", default=None, help="saved cube JSON (recomputed if omitted)"
+        "--cube", default=None, help="saved cube file (recomputed if omitted)"
     )
     p_analyze.add_argument(
         "--gems-min-criteria",
@@ -363,12 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         "before serving (name from --snapshot or the file stem)",
     )
     p_serve.add_argument(
-        "--algorithm",
-        default="stellar",
-        choices=["stellar", "skyey"],
-        help="cube algorithm for --publish (default stellar)",
-    )
-    p_serve.add_argument(
         "--cache-size",
         type=int,
         default=1024,
@@ -449,12 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sink (default 100)",
     )
     p_serve.add_argument(
-        "--no-wal",
-        action="store_true",
-        help="disable write-ahead logging of maintenance mutations "
-        "(mutations then die with the process)",
-    )
-    p_serve.add_argument(
         "--compact-threshold",
         type=int,
         default=0,
@@ -485,13 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="vNNNNNN",
         help="base version whose WAL to compact (default: the active one)",
-    )
-    p_compact.add_argument(
-        "--algorithm",
-        default="stellar",
-        choices=["stellar", "skyey"],
-        help="algorithm tag recorded on the published version "
-        "(default stellar)",
     )
     p_compact.add_argument(
         "--json",
@@ -904,8 +882,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.publish:
         name = args.snapshot or Path(args.publish).stem
         dataset = load_csv(args.publish)
-        cube = CompressedSkylineCube.build(dataset, algorithm=args.algorithm)
-        info = store.publish(name, dataset, cube, algorithm=args.algorithm)
+        cube = CompressedSkylineCube.build(dataset)
+        info = store.publish(name, dataset, cube)
         print(
             f"published {name}@{info.version} "
             f"({info.n_objects} objects, {info.n_groups} groups)"
@@ -928,7 +906,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             default_snapshot=args.snapshot,
             reload_interval=args.reload_interval,
             trace_sink=trace_sink,
-            wal_enabled=not args.no_wal,
             compact_threshold=args.compact_threshold,
         )
     except ValueError as exc:
@@ -1003,12 +980,7 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     store = SnapshotStore(args.snapshot_dir)
     try:
         name = _resolve_snapshot_name(store, args.snapshot)
-        result = compact_snapshot(
-            store,
-            name,
-            version=args.version,
-            algorithm=args.algorithm,
-        )
+        result = compact_snapshot(store, name, version=args.version)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1481,7 +1453,7 @@ def _cmd_cube(args: argparse.Namespace) -> int:
     from .data import load_csv
 
     dataset = load_csv(args.input)
-    cube = CompressedSkylineCube.build(dataset, algorithm=args.algorithm)
+    cube = CompressedSkylineCube.build(dataset)
     save_cube(cube, args.out)
     print(
         f"wrote cube with {len(cube.groups)} skyline groups "

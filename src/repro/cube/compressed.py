@@ -276,24 +276,12 @@ class CompressedSkylineCube:
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def build(
-        cls, dataset: Dataset, algorithm: str = "stellar"
-    ) -> "CompressedSkylineCube":
-        """Compute the cube with ``"stellar"`` (default) or ``"skyey"``."""
-        with span("cube.build", algorithm=algorithm) as sp:
-            if algorithm == "stellar":
-                from ..core.stellar import stellar
+    def build(cls, dataset: Dataset) -> "CompressedSkylineCube":
+        """Compute the cube with Stellar."""
+        from ..core.stellar import stellar
 
-                groups = stellar(dataset).groups
-            elif algorithm == "skyey":
-                from ..baselines.skyey import skyey
-
-                groups = skyey(dataset).groups
-            else:
-                raise ValueError(
-                    f"unknown cube algorithm {algorithm!r}; "
-                    "use 'stellar' or 'skyey'"
-                )
+        with span("cube.build") as sp:
+            groups = stellar(dataset).groups
             sp.count("groups", len(groups))
             return cls(dataset, groups)
 

@@ -1,27 +1,36 @@
 """Persistence for compressed skyline cubes.
 
 A computed cube is a set of skyline groups -- small relative to the data
-(that is the paper's whole point) -- so it serialises naturally to JSON:
-one record per group with members, maximal subspace, decisive subspaces
-and the shared projection, plus a header binding the cube to its dataset's
-schema and a fingerprint of the values.
+(that is the paper's whole point).  :func:`save_cube` writes it, together
+with its dataset, as one binary file; :func:`load_cube` reads it back.
 
-Loading verifies the fingerprint against the dataset the caller supplies:
-a cube silently applied to different data would answer queries wrongly, so
-a mismatch raises instead.
+Layout::
+
+    8 bytes   BINARY_MAGIC ("RSCBIN01")
+    4 bytes   little-endian uint32: JSON header length H
+    H bytes   JSON header (format, fingerprint, schema, array directory,
+              payload_size, payload_sha256)
+    N bytes   payload: the arrays of the directory, concatenated at the
+              recorded offsets, every dtype explicitly little-endian
+
+Subspace masks (a group's maximal subspace and its decisive subspaces)
+are stored as ``ceil(d / 64)`` little-endian ``uint64`` words each, so a
+cube of any width round-trips.  Loading maps the file read-only and builds
+numpy views straight into the mapping (``np.frombuffer``); nothing is
+parsed or copied beyond the JSON header and the checksum pass.
+
+A cube applied to different data would answer queries wrongly, so loading
+verifies the payload checksum always and the dataset fingerprint whenever
+the caller supplies a dataset; a mismatch raises :class:`ValueError`.
 
 Writes are *atomic*: the payload lands in a temporary file in the target
 directory and is moved into place with :func:`os.replace`, so a crash
-mid-write can never leave a torn snapshot that :func:`load_cube`
-half-parses -- readers see either the old file or the new one.  Paths
-ending in ``.gz`` are written gzip-compressed (real NBA-scale cubes
-compress roughly 10x); reading sniffs the gzip magic bytes, so a
-compressed cube loads transparently whatever its extension.
+mid-write can never leave a torn file that :func:`load_cube` half-parses
+-- readers see either the old file or the new one.
 """
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
 import mmap
@@ -40,20 +49,13 @@ __all__ = [
     "load_cube",
     "dataset_fingerprint",
     "cube_fingerprint",
-    "save_snapshot_binary",
-    "load_snapshot_binary",
     "BINARY_MAGIC",
     "BINARY_FORMAT",
 ]
 
-_FORMAT = "repro-skyline-cube/1"
-
-#: First two bytes of every gzip stream (RFC 1952).
-_GZIP_MAGIC = b"\x1f\x8b"
-
-#: 8-byte magic of the mmap-friendly binary snapshot format.
+#: 8-byte magic of the cube file format.
 BINARY_MAGIC = b"RSCBIN01"
-BINARY_FORMAT = "repro-skyline-cube-bin/1"
+BINARY_FORMAT = "repro-skyline-cube-bin/2"
 
 
 def dataset_fingerprint(dataset: Dataset) -> str:
@@ -85,38 +87,6 @@ def cube_fingerprint(cube: CompressedSkylineCube) -> str:
     return digest.hexdigest()
 
 
-def save_cube(cube: CompressedSkylineCube, path: str | Path) -> None:
-    """Write the cube to ``path`` as JSON, atomically.
-
-    A ``.gz`` suffix selects gzip compression.  The write goes to a
-    temporary file in the destination directory first and is renamed into
-    place, so concurrent readers never observe a partial file.
-    """
-    payload = {
-        "format": _FORMAT,
-        "n_objects": cube.dataset.n_objects,
-        "n_dims": cube.dataset.n_dims,
-        "fingerprint": dataset_fingerprint(cube.dataset),
-        "groups": [
-            {
-                "members": sorted(g.members),
-                "subspace": g.subspace,
-                "decisive": list(g.decisive),
-                "projection": list(g.projection),
-            }
-            for g in cube.groups
-        ],
-    }
-    path = Path(path)
-    text = json.dumps(payload, indent=1)
-    data = (
-        gzip.compress(text.encode(), mtime=0)
-        if path.name.endswith(".gz")
-        else text.encode()
-    )
-    atomic_write_bytes(path, data)
-
-
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Write ``data`` to ``path`` via a sibling temp file + :func:`os.replace`.
 
@@ -139,120 +109,64 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         raise
 
 
-def _read_maybe_gzip(path: Path) -> str:
-    """File contents as text, gunzipping when the gzip magic is present."""
-    raw = path.read_bytes()
-    if raw[:2] == _GZIP_MAGIC:
-        raw = gzip.decompress(raw)
-    return raw.decode("utf-8")
+def _pack_masks(masks: list[int], words: int) -> np.ndarray:
+    """Masks as a ``(len(masks), words)`` array of little-endian uint64."""
+    raw = b"".join(m.to_bytes(8 * words, "little") for m in masks)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), words)
 
 
-def load_cube(path: str | Path, dataset: Dataset) -> CompressedSkylineCube:
-    """Read a cube from ``path`` and bind it to ``dataset``.
-
-    Accepts plain, gzip-compressed, and binary-snapshot files
-    interchangeably (the content is sniffed, not the extension).  Raises
-    :class:`ValueError` when the file is not a cube file or was computed
-    from different data.
-    """
-    path = Path(path)
-    with path.open("rb") as handle:
-        magic = handle.read(len(BINARY_MAGIC))
-    if magic == BINARY_MAGIC:
-        _, cube = load_snapshot_binary(path, dataset)
-        return cube
-    try:
-        payload = json.loads(_read_maybe_gzip(path))
-    except (
-        json.JSONDecodeError,
-        UnicodeDecodeError,
-        gzip.BadGzipFile,
-        EOFError,  # truncated gzip stream
-    ) as exc:
-        raise ValueError(f"{path}: not a cube file ({exc})") from None
-    if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
-        raise ValueError(f"{path}: not a {_FORMAT} file")
-    if payload.get("fingerprint") != dataset_fingerprint(dataset):
-        raise ValueError(
-            f"{path}: cube was computed from a different dataset "
-            "(fingerprint mismatch)"
-        )
-    groups = [
-        SkylineGroup(
-            members=frozenset(record["members"]),
-            subspace=int(record["subspace"]),
-            decisive=tuple(int(c) for c in record["decisive"]),
-            projection=tuple(float(v) for v in record["projection"]),
-        )
-        for record in payload["groups"]
+def _unpack_masks(arr: np.ndarray) -> list[int]:
+    """Inverse of :func:`_pack_masks`."""
+    width = 8 * arr.shape[1]
+    raw = arr.tobytes()
+    return [
+        int.from_bytes(raw[i : i + width], "little")
+        for i in range(0, len(raw), width)
     ]
-    groups.sort(key=group_sort_key)
-    return CompressedSkylineCube(dataset, groups)
 
 
-# -- mmap-friendly binary snapshot format -----------------------------------
-#
-# Layout::
-#
-#     8 bytes   BINARY_MAGIC ("RSCBIN01")
-#     4 bytes   little-endian uint32: JSON header length H
-#     H bytes   JSON header (format, fingerprint, schema, array directory,
-#               payload_size, payload_sha256)
-#     N bytes   payload: the arrays of the directory, concatenated at the
-#               recorded offsets, every dtype explicitly little-endian
-#
-# Loading maps the file read-only and builds numpy views straight into the
-# mapping (``np.frombuffer``); nothing is parsed or copied beyond the JSON
-# header and the checksum pass, which is what makes snapshot activation
-# effectively O(header) instead of O(gzip + JSON of the whole cube).
-
-#: Ragged group payloads, stored as (offsets, flat values) CSR pairs.
-_BIN_RAGGED = ("members", "decisive", "projection")
+def _offsets(rows: list) -> np.ndarray:
+    """CSR offsets of a ragged field: row ``g`` is ``flat[off[g]:off[g+1]]``."""
+    offsets = np.zeros(len(rows) + 1, dtype="<i8")
+    np.cumsum([len(r) for r in rows], out=offsets[1:])
+    return offsets
 
 
-def save_snapshot_binary(cube: CompressedSkylineCube, path: str | Path) -> None:
-    """Write the cube (and its dataset) as one binary snapshot, atomically.
-
-    The write goes through :func:`atomic_write_bytes`, so readers see
-    either the previous file or the complete new one -- the same crash
-    safety as the JSON format.
-    """
+def save_cube(cube: CompressedSkylineCube, path: str | Path) -> None:
+    """Write the cube (and its dataset) to ``path``, atomically."""
     dataset = cube.dataset
     groups = cube.groups
+    words = max(1, -(-dataset.n_dims // 64))
+    members = [sorted(g.members) for g in groups]
     arrays: dict[str, np.ndarray] = {
         "values": np.ascontiguousarray(dataset.values, dtype="<f8"),
-        "subspaces": np.array([g.subspace for g in groups], dtype="<i8"),
+        "subspaces": _pack_masks([g.subspace for g in groups], words),
+        "members_off": _offsets(members),
+        "members_flat": np.array(
+            [m for row in members for m in row], dtype="<i8"
+        ),
+        "decisive_off": _offsets([g.decisive for g in groups]),
+        "decisive_flat": _pack_masks(
+            [c for g in groups for c in g.decisive], words
+        ),
+        "projection_off": _offsets([g.projection for g in groups]),
+        "projection_flat": np.array(
+            [v for g in groups for v in g.projection], dtype="<f8"
+        ),
     }
-    for name in _BIN_RAGGED:
-        if name == "members":
-            rows = [sorted(g.members) for g in groups]
-            flat_dtype = "<i8"
-        elif name == "decisive":
-            rows = [list(g.decisive) for g in groups]
-            flat_dtype = "<i8"
-        else:
-            rows = [list(g.projection) for g in groups]
-            flat_dtype = "<f8"
-        offsets = np.zeros(len(groups) + 1, dtype="<i8")
-        np.cumsum([len(r) for r in rows], out=offsets[1:])
-        arrays[f"{name}_off"] = offsets
-        arrays[f"{name}_flat"] = np.array(
-            [x for row in rows for x in row], dtype=flat_dtype
-        )
 
     directory = []
     payload = bytearray()
     for name, arr in arrays.items():
-        offset = len(payload)
-        payload += arr.tobytes()
         directory.append(
             {
                 "name": name,
                 "dtype": arr.dtype.str,
                 "shape": list(arr.shape),
-                "offset": offset,
+                "offset": len(payload),
             }
         )
+        payload += arr.tobytes()
     header = {
         "format": BINARY_FORMAT,
         "fingerprint": dataset_fingerprint(dataset),
@@ -263,7 +177,7 @@ def save_snapshot_binary(cube: CompressedSkylineCube, path: str | Path) -> None:
         "directions": [d.value for d in dataset.directions],
         "labels": list(dataset.labels),
         "payload_size": len(payload),
-        "payload_sha256": hashlib.sha256(bytes(payload)).hexdigest(),
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
         "arrays": directory,
     }
     header_bytes = json.dumps(header).encode()
@@ -276,44 +190,47 @@ def save_snapshot_binary(cube: CompressedSkylineCube, path: str | Path) -> None:
     atomic_write_bytes(path, blob)
 
 
-def load_snapshot_binary(
+def load_cube(
     path: str | Path, dataset: Dataset | None = None
-) -> tuple[Dataset, CompressedSkylineCube]:
-    """Map a binary snapshot and rebuild its dataset and cube.
+) -> CompressedSkylineCube:
+    """Map a cube file and rebuild its cube (and dataset).
 
     The file is memory-mapped read-only; the dataset's value matrix is a
     zero-copy view into the mapping (the mapping stays alive through the
     arrays' ``base`` references).  The payload checksum is always verified:
     a corrupt or truncated file raises a :class:`ValueError` naming the
-    checksum mismatch instead of feeding garbage columns to the kernels.
+    problem instead of feeding garbage columns to the kernels.
 
-    When ``dataset`` is supplied, its fingerprint must match the snapshot's
-    (same contract as :func:`load_cube`) and the returned cube is bound to
-    the supplied instance.
+    When ``dataset`` is supplied, its fingerprint must match the file's and
+    the returned cube is bound to the supplied instance; otherwise the cube
+    is bound to the dataset stored in the file.
     """
     path = Path(path)
     with path.open("rb") as handle:
         mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     head = len(BINARY_MAGIC)
     if mm[:head] != BINARY_MAGIC:
-        raise ValueError(f"{path}: not a {BINARY_FORMAT} file (bad magic)")
+        raise ValueError(f"{path}: not a cube file (bad magic)")
     if mm.size() < head + 4:
-        raise ValueError(f"{path}: truncated binary snapshot (no header)")
+        raise ValueError(f"{path}: truncated cube file (no header)")
     (header_len,) = struct.unpack("<I", mm[head : head + 4])
     body = head + 4
     if mm.size() < body + header_len:
-        raise ValueError(f"{path}: truncated binary snapshot (partial header)")
+        raise ValueError(f"{path}: truncated cube file (partial header)")
     try:
         header = json.loads(mm[body : body + header_len].decode())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: corrupt binary snapshot header ({exc})") from None
+        raise ValueError(f"{path}: corrupt cube file header ({exc})") from None
     if header.get("format") != BINARY_FORMAT:
-        raise ValueError(f"{path}: not a {BINARY_FORMAT} file")
+        raise ValueError(
+            f"{path}: not a {BINARY_FORMAT} file "
+            f"(format {header.get('format')!r})"
+        )
     payload_start = body + header_len
     payload_size = int(header["payload_size"])
     if mm.size() < payload_start + payload_size:
         raise ValueError(
-            f"{path}: truncated binary snapshot "
+            f"{path}: truncated cube file "
             f"(payload needs {payload_size} bytes, "
             f"{mm.size() - payload_start} present)"
         )
@@ -322,7 +239,7 @@ def load_snapshot_binary(
     ).hexdigest()
     if digest != header["payload_sha256"]:
         raise ValueError(
-            f"{path}: binary snapshot checksum mismatch "
+            f"{path}: cube file checksum mismatch "
             f"(expected {header['payload_sha256']}, got {digest}); "
             "the file is corrupt"
         )
@@ -330,55 +247,44 @@ def load_snapshot_binary(
     view = np.frombuffer(mm, dtype=np.uint8, count=payload_size, offset=payload_start)
     arrays: dict[str, np.ndarray] = {}
     for spec in header["arrays"]:
-        dtype = np.dtype(spec["dtype"])
-        count = int(np.prod(spec["shape"], dtype=np.int64)) if spec["shape"] else 1
-        start = int(spec["offset"])
-        arr = np.frombuffer(
-            view, dtype=dtype, count=count, offset=start
-        ).reshape(spec["shape"])
-        arrays[spec["name"]] = arr
+        shape = spec["shape"]
+        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        arrays[spec["name"]] = np.frombuffer(
+            view, dtype=np.dtype(spec["dtype"]), count=count, offset=spec["offset"]
+        ).reshape(shape)
 
-    values = arrays["values"].reshape(
-        int(header["n_objects"]), int(header["n_dims"])
-    )
-    loaded = Dataset(
-        values=values,
-        names=tuple(header["names"]),
-        directions=tuple(header["directions"]),
-        labels=tuple(header["labels"]),
-    )
-    if dataset is not None:
-        if header.get("fingerprint") != dataset_fingerprint(dataset):
-            raise ValueError(
-                f"{path}: cube was computed from a different dataset "
-                "(fingerprint mismatch)"
-            )
-        bound = dataset
-    else:
-        bound = loaded
+    if dataset is None:
+        dataset = Dataset(
+            values=arrays["values"].reshape(
+                int(header["n_objects"]), int(header["n_dims"])
+            ),
+            names=tuple(header["names"]),
+            directions=tuple(header["directions"]),
+            labels=tuple(header["labels"]),
+        )
+    elif header.get("fingerprint") != dataset_fingerprint(dataset):
+        raise ValueError(
+            f"{path}: cube was computed from a different dataset "
+            "(fingerprint mismatch)"
+        )
 
-    n_groups = int(header["n_groups"])
-    mem_off = arrays["members_off"]
-    mem_flat = arrays["members_flat"]
-    dec_off = arrays["decisive_off"]
-    dec_flat = arrays["decisive_flat"]
-    proj_off = arrays["projection_off"]
-    proj_flat = arrays["projection_flat"]
-    subspaces = arrays["subspaces"]
+    members = arrays["members_flat"].tolist()
+    members_off = arrays["members_off"].tolist()
+    projection = arrays["projection_flat"].tolist()
+    projection_off = arrays["projection_off"].tolist()
+    decisive = _unpack_masks(arrays["decisive_flat"])
+    decisive_off = arrays["decisive_off"].tolist()
+    subspaces = _unpack_masks(arrays["subspaces"])
     groups = [
         SkylineGroup(
-            members=frozenset(
-                int(m) for m in mem_flat[mem_off[g] : mem_off[g + 1]]
-            ),
-            subspace=int(subspaces[g]),
-            decisive=tuple(
-                int(c) for c in dec_flat[dec_off[g] : dec_off[g + 1]]
-            ),
+            members=frozenset(members[members_off[g] : members_off[g + 1]]),
+            subspace=subspaces[g],
+            decisive=tuple(decisive[decisive_off[g] : decisive_off[g + 1]]),
             projection=tuple(
-                float(v) for v in proj_flat[proj_off[g] : proj_off[g + 1]]
+                projection[projection_off[g] : projection_off[g + 1]]
             ),
         )
-        for g in range(n_groups)
+        for g in range(int(header["n_groups"]))
     ]
     groups.sort(key=group_sort_key)
-    return bound, CompressedSkylineCube(bound, groups)
+    return CompressedSkylineCube(dataset, groups)

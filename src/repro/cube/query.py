@@ -168,9 +168,9 @@ class QueryEngine:
         self.last_plan: QueryPlan | None = None
 
     @classmethod
-    def build(cls, dataset: Dataset, algorithm: str = "stellar") -> "QueryEngine":
-        """Compute the cube for ``dataset`` and wrap it in an engine."""
-        return cls(CompressedSkylineCube.build(dataset, algorithm=algorithm))
+    def build(cls, dataset: Dataset) -> "QueryEngine":
+        """Compute the cube for ``dataset`` with Stellar and wrap it."""
+        return cls(CompressedSkylineCube.build(dataset))
 
     # -- observation -------------------------------------------------------
 

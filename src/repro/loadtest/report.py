@@ -416,9 +416,8 @@ def report_entry(
         metrics[f"{endpoint.kind}_p99_s"] = round(endpoint.p99_s, 6)
     activation = report.snapshot_activation
     if activation and activation.get("count"):
-        # mmap-activated snapshot swap latency: the binary fast path's
-        # headline number, gated by the same ``*_p99_s`` glob as the
-        # query latencies.
+        # Snapshot swap latency (map cube.bin, replay the WAL), gated by
+        # the same ``*_p99_s`` glob as the query latencies.
         metrics["snapshot_activate_p99_s"] = round(activation["p99_s"], 6)
     workload = {
         "title": "open-loop serving load test",

@@ -232,10 +232,6 @@ class ConsistencyOracle:
         return sorted(dataset.labels[i] for i in compute_skyline(dataset, mask))
 
 
-#: Backwards-compatible private alias (pre-durability name).
-_Oracle = ConsistencyOracle
-
-
 def _http_json(
     url: str,
     body: dict | None = None,
@@ -625,8 +621,9 @@ class _Runner:
         convention (the value reported is the ``le`` bound of the first
         bucket whose cumulative count reaches the rank; ``+Inf`` falls back
         to the largest finite bound).  This is the server's own measurement
-        of mmap-vs-JSON activation cost, which is why it is scraped rather
-        than measured from the client side.
+        of snapshot activation cost (mapping ``cube.bin`` and replaying the
+        WAL), which is why it is scraped rather than measured from the
+        client side.
         """
         try:
             request = urllib.request.Request(f"{self.base_url}/metrics")

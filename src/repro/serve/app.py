@@ -24,9 +24,9 @@ plus ``/healthz`` and ``/metrics`` (rendered by
 that produced it, so clients (and the concurrency tests) can pin results
 to cube generations.
 
-Mutations are durable when ``wal_enabled`` (the default): each one is
-appended + fsync'd to the active version's WAL segment (:mod:`repro.wal`)
-*before* it is applied, and a restart replays the segment through
+Every mutation is durable: it is appended + fsync'd to the active
+version's WAL segment (:mod:`repro.wal`) *before* it is applied, and a
+restart replays the segment through
 :meth:`~repro.cube.maintenance.MaintainedCube.adopt` -- so a SIGKILL loses
 at most the request that had not yet been acknowledged.  A non-zero
 ``compact_threshold`` folds the segment into a freshly published snapshot
@@ -172,6 +172,16 @@ def _optional_str(body: dict, key: str) -> str | None:
     return value
 
 
+def _optional_bool(body: dict, key: str, default: bool) -> bool:
+    """A JSON body field that must be a boolean when present."""
+    value = body.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(
+            f"parameter {key!r} must be a boolean, got {type(value).__name__}"
+        )
+    return value
+
+
 def _require_str(body: dict, key: str) -> str:
     value = _optional_str(body, key)
     if value is None:
@@ -269,7 +279,6 @@ class CubeService:
         default_snapshot: str | None = None,
         reload_interval: float = 0.5,
         trace_sink: TraceSink | None = None,
-        wal_enabled: bool = True,
         compact_threshold: int = 0,
     ):
         if compact_threshold < 0:
@@ -287,8 +296,6 @@ class CubeService:
         #: (requests still run under a per-request trace context so the
         #: echoed ``x-repro-trace-id`` header is always present).
         self.trace_sink = trace_sink
-        #: Write-ahead logging of maintenance mutations (see module doc).
-        self.wal_enabled = wal_enabled
         #: Auto-compact once the active WAL segment holds this many
         #: records; 0 disables the trigger (``repro compact`` still works).
         self.compact_threshold = compact_threshold
@@ -464,8 +471,6 @@ class CubeService:
         row: list[float] | None = None,
     ) -> None:
         """Durably log one validated mutation before it is applied."""
-        if not self.wal_enabled:
-            return
         writer = self._wal_for(state.name, state.base_version)
         writer.append(op, label=label, row=row)
         _WAL_LAG.set(writer.count)
@@ -506,7 +511,7 @@ class CubeService:
 
     def _maybe_compact(self, state: _Serving) -> _Serving:
         """Auto-trigger: compact once the segment depth hits the threshold."""
-        if not self.wal_enabled or self.compact_threshold <= 0:
+        if self.compact_threshold <= 0:
             return state
         writer = self._wals.get(state.name)
         if writer is None or writer.count < self.compact_threshold:
@@ -527,11 +532,7 @@ class CubeService:
         if state.mutations == 0:
             return state, None
         info = self.store.publish(
-            state.name,
-            state.dataset,
-            state.cube,
-            algorithm=state.info.algorithm,
-            activate=True,
+            state.name, state.dataset, state.cube, activate=True
         )
         writer = self._wals.pop(state.name, None)
         if writer is not None:
@@ -629,7 +630,6 @@ class CubeService:
         self,
         name: str,
         csv_text: str,
-        algorithm: str = "stellar",
         activate: bool = True,
     ) -> dict:
         """Build a cube from CSV text and publish it as a new version."""
@@ -637,10 +637,8 @@ class CubeService:
             path = Path(tmp) / "dataset.csv"
             path.write_text(csv_text)
             dataset = load_csv(path)
-        cube = CompressedSkylineCube.build(dataset, algorithm=algorithm)
-        info = self.store.publish(
-            name, dataset, cube, algorithm=algorithm, activate=activate
-        )
+        cube = CompressedSkylineCube.build(dataset)
+        info = self.store.publish(name, dataset, cube, activate=activate)
         if activate:
             self._force_reload(name)
         return {**info.to_dict(), "active": activate}
@@ -702,19 +700,15 @@ class CubeService:
         snapshots = {}
         for name, state in states.items():
             checked_at = checked.get(name)
-            wal_depth = None
+            wal_depth = 0
             wal_staleness = None
-            if self.wal_enabled:
-                wal_depth = 0
-                writer = wals.get(name)
-                if writer is not None and writer.path == wal_path(
-                    self.store.root, name, state.base_version
-                ):
-                    wal_depth = writer.count
-                    if writer.first_ts is not None:
-                        wal_staleness = round(
-                            time.time() - writer.first_ts, 3
-                        )
+            writer = wals.get(name)
+            if writer is not None and writer.path == wal_path(
+                self.store.root, name, state.base_version
+            ):
+                wal_depth = writer.count
+                if writer.first_ts is not None:
+                    wal_staleness = round(time.time() - writer.first_ts, 3)
             snapshots[name] = {
                 "cube_version": state.cube_version,
                 "base_version": state.base_version,
@@ -726,7 +720,7 @@ class CubeService:
                     else None
                 ),
                 # Pending (uncompacted) WAL records and the age of the
-                # oldest one; both None while WAL is disabled.
+                # oldest one (None while the segment is empty).
                 "wal_depth": wal_depth,
                 "wal_staleness_seconds": wal_staleness,
             }
@@ -812,28 +806,27 @@ class CubeService:
                 dataset, cube, info = self.store.load(name, current)
                 maintained = None
                 mutations = 0
-                if self.wal_enabled:
-                    # Replay this generation's WAL segment: mutations that
-                    # were acknowledged before a crash/restart come back.
-                    records = recover_segment(
-                        wal_path(self.store.root, name, current)
+                # Replay this generation's WAL segment: mutations that
+                # were acknowledged before a crash/restart come back.
+                records = recover_segment(
+                    wal_path(self.store.root, name, current)
+                )
+                if records:
+                    maintained = MaintainedCube.adopt(cube)
+                    applied, skipped = apply_records(maintained, records)
+                    dataset, cube = maintained.dataset, maintained.cube
+                    mutations = applied
+                    _LOG.info(
+                        "serve.wal_replayed",
+                        extra={
+                            "snapshot": name,
+                            "version": current,
+                            "applied": applied,
+                            "skipped": skipped,
+                        },
                     )
-                    if records:
-                        maintained = MaintainedCube.adopt(cube)
-                        applied, skipped = apply_records(maintained, records)
-                        dataset, cube = maintained.dataset, maintained.cube
-                        mutations = applied
-                        _LOG.info(
-                            "serve.wal_replayed",
-                            extra={
-                                "snapshot": name,
-                                "version": current,
-                                "applied": applied,
-                                "skipped": skipped,
-                            },
-                        )
-                    writer = self._wal_for(name, current)
-                    _WAL_LAG.set(writer.count)
+                writer = self._wal_for(name, current)
+                _WAL_LAG.set(writer.count)
                 new_state = _Serving(
                     name=name,
                     base_version=current,
@@ -1020,8 +1013,7 @@ class CubeService:
                 return self.publish_csv(
                     _require_str(body, "name"),
                     _require_str(body, "csv"),
-                    algorithm=body.get("algorithm", "stellar"),
-                    activate=bool(body.get("activate", True)),
+                    activate=_optional_bool(body, "activate", True),
                 )
             if path == "/v1/snapshots/activate":
                 return self.activate(

@@ -10,9 +10,8 @@ version, plus an atomically-replaced ``CURRENT`` pointer file::
       fig8/
         v000001/
           dataset.csv      the bound dataset (schema-bearing CSV)
-          cube.json.gz     the compressed cube (gzip JSON, fallback)
-          cube.bin         mmap-activated binary snapshot (fast path)
-          meta.json        version metadata (fingerprint, sizes, algorithm)
+          cube.bin         the compressed cube (repro.cube.io format)
+          meta.json        version metadata (fingerprint, sizes)
         v000002/...
         CURRENT            "v000002" -- the active version
 
@@ -21,6 +20,10 @@ under a temporary name and renamed into place (atomic on POSIX), and the
 ``CURRENT`` pointer is replaced via the same write-temp-then-``os.replace``
 dance :func:`~repro.cube.io.save_cube` uses -- a reader never observes a
 half-written version or a pointer to one.
+
+Every stored cube is built by Stellar, so ``cube.bin`` is derived data: a
+version whose ``cube.bin`` is missing, corrupt or of an older format is
+rebuilt from ``dataset.csv`` on load and checked against ``meta.json``.
 
 Loading is *lazy* by design: nothing is read at construction time, and the
 serving layer (:mod:`repro.serve.app`) only loads a snapshot on its first
@@ -40,14 +43,7 @@ from pathlib import Path
 
 from ..core.types import Dataset
 from ..cube.compressed import CompressedSkylineCube
-from ..cube.io import (
-    atomic_write_bytes,
-    dataset_fingerprint,
-    load_cube,
-    load_snapshot_binary,
-    save_cube,
-    save_snapshot_binary,
-)
+from ..cube.io import atomic_write_bytes, dataset_fingerprint, load_cube, save_cube
 from ..data.io import load_csv, save_csv
 from ..obs.logging import get_logger
 from ..obs.metrics import registry
@@ -63,8 +59,7 @@ _VERSION_RE = re.compile(r"^v\d{6}$")
 
 _CURRENT = "CURRENT"
 _DATASET_FILE = "dataset.csv"
-_CUBE_FILE = "cube.json.gz"
-_CUBE_BIN_FILE = "cube.bin"
+_CUBE_FILE = "cube.bin"
 _META_FILE = "meta.json"
 
 
@@ -75,7 +70,6 @@ class SnapshotInfo:
     name: str
     version: str
     created_unix: float
-    algorithm: str
     fingerprint: str
     n_objects: int
     n_dims: int
@@ -107,7 +101,6 @@ class SnapshotStore:
         dataset: Dataset,
         cube: CompressedSkylineCube,
         *,
-        algorithm: str = "stellar",
         activate: bool = True,
     ) -> SnapshotInfo:
         """Write ``cube`` (and its dataset) as a new version of ``name``.
@@ -128,13 +121,9 @@ class SnapshotStore:
             try:
                 save_csv(dataset, staging / _DATASET_FILE)
                 save_cube(cube, staging / _CUBE_FILE)
-                # The mmap-activated fast path; the JSON cube above stays
-                # as the compatibility fallback for older readers.
-                save_snapshot_binary(cube, staging / _CUBE_BIN_FILE)
                 info_base = {
                     "name": name,
                     "created_unix": time.time(),
-                    "algorithm": algorithm,
                     "fingerprint": dataset_fingerprint(dataset),
                     "n_objects": dataset.n_objects,
                     "n_dims": dataset.n_dims,
@@ -231,31 +220,45 @@ class SnapshotStore:
         vdir = self._snapshot_dir(name) / version
         if not (vdir / _META_FILE).is_file():
             raise ValueError(f"snapshot {name!r} has no version {version!r}")
+        info = self._read_info(name, vdir)
         with span("serve.store.load", snapshot=name, version=version):
-            binary = vdir / _CUBE_BIN_FILE
-            if binary.is_file():
-                try:
-                    dataset, cube = load_snapshot_binary(binary)
-                    registry().counter("serve.store.loaded.binary").inc()
-                except ValueError as exc:
-                    # A corrupt binary sidecar must not take the version
-                    # down while the JSON cube can still serve it.
-                    _LOG.warning(
-                        "snapshot.binary_fallback",
-                        extra={
-                            "snapshot": name,
-                            "version": version,
-                            "error": str(exc),
-                        },
-                    )
-                    dataset = load_csv(vdir / _DATASET_FILE)
-                    cube = load_cube(vdir / _CUBE_FILE, dataset)
-            else:
-                # Old snapshots (pre-binary format): parse CSV + JSON.
-                dataset = load_csv(vdir / _DATASET_FILE)
-                cube = load_cube(vdir / _CUBE_FILE, dataset)
+            try:
+                cube = load_cube(vdir / _CUBE_FILE)
+            except (OSError, ValueError) as exc:
+                cube = self._rebuild(vdir, info, exc)
         registry().counter("serve.store.loaded").inc()
-        return dataset, cube, self._read_info(name, vdir)
+        return cube.dataset, cube, info
+
+    @staticmethod
+    def _rebuild(
+        vdir: Path, info: SnapshotInfo, exc: Exception
+    ) -> CompressedSkylineCube:
+        """Recompute an unreadable ``cube.bin`` from ``dataset.csv``.
+
+        The CSV stores ``repr`` floats, so the dataset round-trips exactly
+        and Stellar reproduces the published cube; the fingerprint and
+        group count recorded in ``meta.json`` prove it.
+        """
+        _LOG.warning(
+            "snapshot.rebuilt",
+            extra={
+                "snapshot": info.name,
+                "version": info.version,
+                "error": str(exc),
+            },
+        )
+        dataset = load_csv(vdir / _DATASET_FILE)
+        cube = CompressedSkylineCube.build(dataset)
+        if (
+            dataset_fingerprint(dataset) != info.fingerprint
+            or len(cube.groups) != info.n_groups
+        ):
+            raise ValueError(
+                f"{vdir}: rebuilt cube does not match meta.json "
+                f"(fingerprint or group count differs)"
+            )
+        registry().counter("serve.store.rebuilt").inc()
+        return cube
 
     # -- internal ----------------------------------------------------------
 
@@ -295,7 +298,6 @@ class SnapshotStore:
             name=name,
             version=meta["version"],
             created_unix=float(meta["created_unix"]),
-            algorithm=meta["algorithm"],
             fingerprint=meta["fingerprint"],
             n_objects=int(meta["n_objects"]),
             n_dims=int(meta["n_dims"]),

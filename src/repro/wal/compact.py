@@ -58,7 +58,6 @@ def compact_snapshot(
     name: str,
     *,
     version: str | None = None,
-    algorithm: str = "stellar",
     activate: bool = True,
 ) -> CompactionResult:
     """Fold ``version``'s WAL segment (active version by default) forward.
@@ -89,11 +88,7 @@ def compact_snapshot(
         maintained = MaintainedCube.adopt(cube)
         applied, skipped = apply_records(maintained, records)
         info = store.publish(
-            name,
-            maintained.dataset,
-            maintained.cube,
-            algorithm=algorithm,
-            activate=activate,
+            name, maintained.dataset, maintained.cube, activate=activate
         )
         retired = retire_segment(segment)
     _COMPACTIONS.inc()

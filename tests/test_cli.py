@@ -127,6 +127,22 @@ class TestCube:
         ]) == 0
         assert capsys.readouterr().out.splitlines() == ["BUDGET-LHR", "MULTIHOP"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cube", "--input", "d.csv", "--out", "c", "--algorithm", "skyey"],
+            ["serve", "--snapshot-dir", "s", "--algorithm", "skyey"],
+            ["compact", "--snapshot-dir", "s", "--algorithm", "skyey"],
+            ["serve", "--snapshot-dir", "s", "--no-wal"],
+        ],
+        ids=["cube-algorithm", "serve-algorithm", "compact-algorithm", "no-wal"],
+    )
+    def test_removed_options_are_usage_errors(self, argv):
+        # Stellar builds every stored cube and every mutation is WAL-logged.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_top_frequent(self, routes_csv, capsys):
         assert main([
             "query", "--input", routes_csv, "--top-frequent", "2",
@@ -145,7 +161,7 @@ class TestAnalyze:
         assert "robust winners" in out
 
     def test_analyze_from_saved_cube(self, routes_csv, tmp_path, capsys):
-        cube_path = tmp_path / "c.json"
+        cube_path = tmp_path / "c.cube"
         assert main(["cube", "--input", routes_csv, "--out", str(cube_path)]) == 0
         capsys.readouterr()
         assert main([

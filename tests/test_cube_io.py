@@ -1,17 +1,10 @@
-"""Tests for compressed-cube persistence."""
-
-import gzip
-import json
+"""Tests for compressed-cube persistence (the one binary cube format)."""
 
 import pytest
 
 from repro.core.stellar import stellar
 from repro.cube import CompressedSkylineCube, load_cube, save_cube
-from repro.cube.io import (
-    dataset_fingerprint,
-    load_snapshot_binary,
-    save_snapshot_binary,
-)
+from repro.cube.io import BINARY_FORMAT, dataset_fingerprint
 
 
 class TestRoundTrip:
@@ -19,7 +12,7 @@ class TestRoundTrip:
         cube = CompressedSkylineCube(
             running_example, stellar(running_example).groups
         )
-        path = tmp_path / "cube.json"
+        path = tmp_path / "cube.bin"
         save_cube(cube, path)
         loaded = load_cube(path, running_example)
         assert [(g.key, g.decisive, g.projection) for g in loaded.groups] == [
@@ -35,69 +28,21 @@ class TestRoundTrip:
         assert loaded.skyline_of(mask) == cube.skyline_of(mask)
         assert loaded.top_frequent(3) == cube.top_frequent(3)
 
-    def test_file_is_valid_json(self, tmp_path, running_example):
-        cube = CompressedSkylineCube.build(running_example)
-        path = tmp_path / "cube.json"
-        save_cube(cube, path)
-        payload = json.loads(path.read_text())
-        assert payload["format"] == "repro-skyline-cube/1"
-        assert payload["n_objects"] == 5
-        assert len(payload["groups"]) == 8
-
 
 class TestAtomicWrite:
     def test_no_temp_files_left_behind(self, tmp_path, running_example):
         cube = CompressedSkylineCube.build(running_example)
-        save_cube(cube, tmp_path / "cube.json")
-        assert [p.name for p in tmp_path.iterdir()] == ["cube.json"]
+        save_cube(cube, tmp_path / "cube.bin")
+        assert [p.name for p in tmp_path.iterdir()] == ["cube.bin"]
 
     def test_overwrite_is_all_or_nothing(self, tmp_path, running_example):
         cube = CompressedSkylineCube.build(running_example)
-        path = tmp_path / "cube.json"
+        path = tmp_path / "cube.bin"
         save_cube(cube, path)
-        before = path.read_text()
+        before = path.read_bytes()
         save_cube(cube, path)
-        assert path.read_text() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["cube.json"]
-
-
-class TestGzip:
-    def test_gz_suffix_writes_gzip(self, tmp_path, running_example):
-        cube = CompressedSkylineCube.build(running_example)
-        path = tmp_path / "cube.json.gz"
-        save_cube(cube, path)
-        raw = path.read_bytes()
-        assert raw[:2] == b"\x1f\x8b"
-        payload = json.loads(gzip.decompress(raw))
-        assert payload["format"] == "repro-skyline-cube/1"
-
-    def test_gzip_round_trip(self, tmp_path, running_example):
-        cube = CompressedSkylineCube.build(running_example)
-        path = tmp_path / "cube.json.gz"
-        save_cube(cube, path)
-        loaded = load_cube(path, running_example)
-        assert [(g.key, g.decisive) for g in loaded.groups] == [
-            (g.key, g.decisive) for g in cube.groups
-        ]
-
-    def test_sniff_ignores_extension(self, tmp_path, running_example):
-        # A gzip stream under a plain .json name still loads: content wins.
-        cube = CompressedSkylineCube.build(running_example)
-        gz = tmp_path / "cube.json.gz"
-        save_cube(cube, gz)
-        plain = tmp_path / "cube.json"
-        plain.write_bytes(gz.read_bytes())
-        loaded = load_cube(plain, running_example)
-        assert len(loaded.groups) == len(cube.groups)
-
-    def test_truncated_gzip_rejected(self, tmp_path, running_example):
-        cube = CompressedSkylineCube.build(running_example)
-        gz = tmp_path / "cube.json.gz"
-        save_cube(cube, gz)
-        torn = tmp_path / "torn.json.gz"
-        torn.write_bytes(gz.read_bytes()[:20])
-        with pytest.raises(ValueError, match="not a cube file"):
-            load_cube(torn, running_example)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cube.bin"]
 
 
 class TestValidation:
@@ -112,7 +57,7 @@ class TestValidation:
         self, tmp_path, running_example, flight_routes
     ):
         cube = CompressedSkylineCube.build(running_example)
-        path = tmp_path / "cube.json"
+        path = tmp_path / "cube.bin"
         save_cube(cube, path)
         with pytest.raises(ValueError, match="fingerprint mismatch"):
             load_cube(path, flight_routes)
@@ -124,14 +69,19 @@ class TestValidation:
             load_cube(path, running_example)
 
     def test_wrong_format_rejected(self, tmp_path, running_example):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"format": "something-else"}))
-        with pytest.raises(ValueError, match="not a repro-skyline-cube"):
+        # Right magic, but the header names another format revision.
+        path = tmp_path / "other.bin"
+        save_cube(CompressedSkylineCube.build(running_example), path)
+        blob = path.read_bytes()
+        path.write_bytes(
+            blob.replace(BINARY_FORMAT.encode(), b"repro-skyline-cube-bin/1")
+        )
+        with pytest.raises(ValueError, match=f"not a {BINARY_FORMAT} file"):
             load_cube(path, running_example)
 
 
 class TestBinarySnapshot:
-    """The mmap binary snapshot format (docs/SERVING.md)."""
+    """The binary cube format's layout and integrity checks (docs/SERVING.md)."""
 
     def _build(self, dataset):
         return CompressedSkylineCube.build(dataset)
@@ -139,8 +89,9 @@ class TestBinarySnapshot:
     def test_round_trip_is_faithful(self, tmp_path, flight_routes):
         cube = self._build(flight_routes)
         path = tmp_path / "cube.bin"
-        save_snapshot_binary(cube, path)
-        loaded_data, loaded = load_snapshot_binary(path)
+        save_cube(cube, path)
+        loaded = load_cube(path)
+        loaded_data = loaded.dataset
         assert loaded_data.names == flight_routes.names
         assert loaded_data.directions == flight_routes.directions
         assert loaded_data.labels == flight_routes.labels
@@ -152,56 +103,59 @@ class TestBinarySnapshot:
     def test_loaded_cube_answers_queries(self, tmp_path, flight_routes):
         cube = self._build(flight_routes)
         path = tmp_path / "cube.bin"
-        save_snapshot_binary(cube, path)
-        _, loaded = load_snapshot_binary(path, flight_routes)
+        save_cube(cube, path)
+        loaded = load_cube(path)
         mask = flight_routes.parse_subspace("price,stops")
         assert loaded.skyline_of(mask) == cube.skyline_of(mask)
         assert loaded.top_frequent(3) == cube.top_frequent(3)
 
     def test_load_cube_sniffs_binary_magic(self, tmp_path, flight_routes):
+        # The magic identifies the file, whatever its name; a supplied
+        # dataset becomes the cube's dataset.
         cube = self._build(flight_routes)
-        path = tmp_path / "cube.bin"
-        save_snapshot_binary(cube, path)
+        path = tmp_path / "routes.dat"
+        save_cube(cube, path)
         loaded = load_cube(path, flight_routes)
+        assert loaded.dataset is flight_routes
         assert [g.key for g in loaded.groups] == [g.key for g in cube.groups]
 
     def test_corrupt_payload_names_checksum(self, tmp_path, flight_routes):
         path = tmp_path / "cube.bin"
-        save_snapshot_binary(self._build(flight_routes), path)
+        save_cube(self._build(flight_routes), path)
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0x01
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="checksum mismatch"):
-            load_snapshot_binary(path)
+            load_cube(path)
 
     def test_truncated_payload_rejected(self, tmp_path, flight_routes):
         path = tmp_path / "cube.bin"
-        save_snapshot_binary(self._build(flight_routes), path)
+        save_cube(self._build(flight_routes), path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 8])
-        with pytest.raises(ValueError, match="truncated binary snapshot"):
-            load_snapshot_binary(path)
+        with pytest.raises(ValueError, match="truncated cube file"):
+            load_cube(path)
 
     def test_truncated_header_rejected(self, tmp_path, flight_routes):
         path = tmp_path / "cube.bin"
-        save_snapshot_binary(self._build(flight_routes), path)
+        save_cube(self._build(flight_routes), path)
         path.write_bytes(path.read_bytes()[:10])
-        with pytest.raises(ValueError, match="truncated binary snapshot"):
-            load_snapshot_binary(path)
+        with pytest.raises(ValueError, match="truncated cube file"):
+            load_cube(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTABINv" + b"\x00" * 64)
         with pytest.raises(ValueError, match="bad magic"):
-            load_snapshot_binary(path)
+            load_cube(path)
 
     def test_fingerprint_mismatch_rejected(
         self, tmp_path, running_example, flight_routes
     ):
         path = tmp_path / "cube.bin"
-        save_snapshot_binary(self._build(running_example), path)
+        save_cube(self._build(running_example), path)
         with pytest.raises(ValueError, match="fingerprint mismatch"):
-            load_snapshot_binary(path, flight_routes)
+            load_cube(path, flight_routes)
 
     def test_write_is_atomic(self, tmp_path, flight_routes, monkeypatch):
         # A crash mid-write must never leave a partial cube.bin behind:
@@ -214,6 +168,6 @@ class TestBinarySnapshot:
         monkeypatch.setattr(io_mod, "atomic_write_bytes", explode)
         path = tmp_path / "cube.bin"
         with pytest.raises(RuntimeError):
-            save_snapshot_binary(self._build(flight_routes), path)
+            save_cube(self._build(flight_routes), path)
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []

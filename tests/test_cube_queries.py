@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
+from repro.baselines.skyey import skyey
 from repro.core.stellar import stellar
 from repro.core.types import Dataset
 from repro.cube import CompressedSkylineCube
@@ -22,12 +23,15 @@ class TestBuild:
         assert len(cube.groups) == 8
 
     def test_build_skyey(self, running_example):
-        cube = CompressedSkylineCube.build(running_example, algorithm="skyey")
+        cube = CompressedSkylineCube(
+            running_example, skyey(running_example).groups
+        )
         assert len(cube.groups) == 8
 
     def test_build_unknown(self, running_example):
-        with pytest.raises(ValueError, match="unknown cube algorithm"):
-            CompressedSkylineCube.build(running_example, algorithm="magic")
+        # build() always runs Stellar; there is no builder to choose.
+        with pytest.raises(TypeError):
+            CompressedSkylineCube.build(running_example, algorithm="skyey")
 
 
 class TestQ1SubspaceSkyline:

@@ -17,8 +17,10 @@ from repro.core.validate import (
     decisive_subspaces_theorem4,
     is_maximal_cgroup,
 )
-from repro.cube import CompressedSkylineCube
+from repro.cube import CompressedSkylineCube, cube_fingerprint, load_cube, save_cube
 from repro.cube.query import QueryEngine
+from repro.data import save_csv
+from repro.serve import CubeService, SnapshotStore
 from repro.skyline import compute_skyline, is_skyline_member
 
 
@@ -115,6 +117,46 @@ class TestBeyond62Dimensions:
                 smaller = mask & ~(1 << d)
                 if mask >> d & 1 and smaller:
                     assert rolled[wide.format_subspace(smaller)] == brute(smaller)
+
+    def test_cube_at_rest_past_63_dims(self, tmp_path, wide, wide_result):
+        """Store publish/load, HTTP publish and save/load keep > 63-bit masks."""
+        cube = CompressedSkylineCube(wide, wide_result.groups)
+        expected = cube_fingerprint(cube)
+        assert max(g.subspace for g in cube.groups).bit_length() > 63
+
+        store = SnapshotStore(tmp_path / "snaps")
+        store.publish("wide", wide, cube)
+        _, stored, _ = store.load("wide")
+        assert cube_fingerprint(stored) == expected
+
+        save_csv(wide, tmp_path / "wide.csv")
+        service = CubeService(store, reload_interval=0)
+        status, payload, _ = service.handle_http(
+            "POST",
+            "/v1/snapshots/publish",
+            {},
+            {"name": "wide", "csv": (tmp_path / "wide.csv").read_text()},
+        )
+        assert status == 200, payload
+        _, served, _ = store.load("wide")
+        assert cube_fingerprint(served) == expected
+        mask = 1 << 69 | 1 << 63 | 1
+        status, payload, _ = service.handle_http(
+            "GET", "/v1/skyline", {"subspace": [wide.format_subspace(mask)]}, {}
+        )
+        assert status == 200, payload
+        assert payload["cube_version"] == "wide@v000002"
+        assert payload["result"] == [
+            wide.labels[i] for i in compute_skyline(wide, mask, algorithm="brute")
+        ]
+        service.close()
+
+        save_cube(cube, tmp_path / "wide.bin")
+        loaded = load_cube(tmp_path / "wide.bin")
+        assert cube_fingerprint(loaded) == expected
+        assert [(g.key, g.decisive, g.projection) for g in loaded.groups] == [
+            (g.key, g.decisive, g.projection) for g in cube.groups
+        ]
 
     def test_share_map_join_matches_brute_force(self):
         """The Theorem-5 share-map join on the object-dtype ``pow2`` path."""

@@ -16,6 +16,7 @@ import pytest
 
 from repro.bench.ledger import LedgerEntry, append_entry, load_entries
 from repro.loadtest import (
+    ConsistencyOracle,
     LoadtestConfig,
     RequestRecord,
     WorkloadMix,
@@ -26,7 +27,7 @@ from repro.loadtest import (
     summarize,
     zipf_weights,
 )
-from repro.loadtest.runner import _Oracle, _Runner
+from repro.loadtest.runner import _Runner
 from repro.serve import CubeService, SnapshotStore, start_server
 
 
@@ -179,7 +180,7 @@ class TestCapacityModel:
 
 class TestOracle:
     def test_rebuilds_mutated_generations(self, flight_routes):
-        oracle = _Oracle(flight_routes)
+        oracle = ConsistencyOracle(flight_routes)
         oracle.register_base("routes@v000001")
         oracle.record_mutation(
             "routes@v000001+1", ("insert", [100.0, 5.0, 0.0], "CHEAP")
@@ -198,7 +199,7 @@ class TestOracle:
         assert not oracle.knows("routes@v000099")
 
     def test_out_of_order_ack_evicts_base(self, flight_routes):
-        oracle = _Oracle(flight_routes)
+        oracle = ConsistencyOracle(flight_routes)
         oracle.register_base("routes@v000001")
         # ack claims +5 but only one op was recorded: external mutator
         oracle.record_mutation(
@@ -207,7 +208,7 @@ class TestOracle:
         assert not oracle.knows("routes@v000001")
 
     def test_unknown_base_ignored(self, flight_routes):
-        oracle = _Oracle(flight_routes)
+        oracle = ConsistencyOracle(flight_routes)
         oracle.record_mutation("other@v000003+1", ("delete", "P1"))
         assert not oracle.knows("other@v000003")
 

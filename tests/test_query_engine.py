@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
+from repro.baselines.skyey import skyey
 from repro.core.stellar import stellar
 from repro.core.types import Dataset
 from repro.cube import CompressedSkylineCube, QueryEngine
@@ -65,7 +66,9 @@ class TestQ3:
         assert got["price"] == ["BUDGET-LHR", "MULTIHOP"]
 
     def test_build_with_skyey(self, flight_routes):
-        engine = QueryEngine.build(flight_routes, algorithm="skyey")
+        engine = QueryEngine(
+            CompressedSkylineCube(flight_routes, skyey(flight_routes).groups)
+        )
         assert engine.skyline("price") == ["BUDGET-LHR", "MULTIHOP"]
 
 

@@ -20,7 +20,8 @@ from urllib.error import HTTPError
 
 import pytest
 
-from repro.cube import CompressedSkylineCube
+from repro.cube import CompressedSkylineCube, cube_fingerprint
+from repro.data import save_csv
 from repro.serve import (
     AdmissionController,
     CubeService,
@@ -364,6 +365,25 @@ class TestCubeService:
         status, payload, _ = service.handle_http("POST", path, {}, body)
         assert status == 400
         assert payload["error"] == "bad_request"
+
+    @pytest.mark.parametrize("activate", ["false", 0, None, []])
+    def test_non_boolean_activate_is_bad_request(
+        self, service, published, flight_routes, tmp_path, activate
+    ):
+        store = published[0]
+        save_csv(flight_routes, tmp_path / "routes.csv")
+        body = {
+            "name": "routes",
+            "csv": (tmp_path / "routes.csv").read_text(),
+            "activate": activate,
+        }
+        status, payload, _ = service.handle_http(
+            "POST", "/v1/snapshots/publish", {}, body
+        )
+        assert status == 400
+        assert payload["error"] == "bad_request"
+        # Live traffic stays on the version it was serving.
+        assert store.current_version("routes") == "v000001"
 
     def test_http_error_mapping(self, service):
         status, payload, _ = service.handle_http(
@@ -824,46 +844,72 @@ class TestServeCLI:
 
 
 class TestBinarySnapshotServing:
-    """Publish writes a binary sidecar; load prefers mmap, falls back to JSON."""
+    """A version is dataset.csv + cube.bin + meta.json; an unreadable
+    cube.bin is rebuilt from dataset.csv with Stellar."""
 
-    def test_publish_writes_binary_sidecar(self, published, tmp_path):
-        store, _, _, info = published
-        vdir = store.root / "routes" / info.version
-        assert (vdir / "cube.bin").is_file()
-        # The JSON cube stays alongside for old readers and for fallback.
-        assert (vdir / "cube.json.gz").is_file() or (vdir / "cube.json").is_file()
-
-    def test_load_prefers_binary(self, published):
+    @staticmethod
+    def _rebuilt():
         from repro.obs import registry
 
-        store, dataset, cube, info = published
-        binary_loads = registry().counter("serve.store.loaded.binary")
-        before = binary_loads.value
+        return registry().counter("serve.store.rebuilt")
+
+    def _assert_rebuilds(self, store, cube):
+        before = self._rebuilt().value
         loaded_data, loaded, _ = store.load("routes")
-        assert binary_loads.value == before + 1
+        assert self._rebuilt().value == before + 1
+        assert cube_fingerprint(loaded) == cube_fingerprint(cube)
+
+    def test_publish_writes_binary_sidecar(self, published):
+        store, _, _, info = published
+        vdir = store.root / "routes" / info.version
+        assert sorted(p.name for p in vdir.iterdir()) == [
+            "cube.bin",
+            "dataset.csv",
+            "meta.json",
+        ]
+
+    def test_load_prefers_binary(self, published):
+        store, dataset, cube, info = published
+        before = self._rebuilt().value
+        loaded_data, loaded, _ = store.load("routes")
+        assert self._rebuilt().value == before
         assert (loaded_data.values == dataset.values).all()
         assert [g.key for g in loaded.groups] == [g.key for g in cube.groups]
 
-    def test_corrupt_binary_falls_back_to_json(self, published):
-        from repro.obs import registry
-
+    def test_corrupt_binary_rebuilds_from_csv(self, published):
         store, dataset, cube, info = published
         binary_path = store.root / "routes" / info.version / "cube.bin"
         blob = bytearray(binary_path.read_bytes())
         blob[-1] ^= 0x01
         binary_path.write_bytes(bytes(blob))
-        binary_loads = registry().counter("serve.store.loaded.binary")
-        before = binary_loads.value
-        loaded_data, loaded, _ = store.load("routes")
-        assert binary_loads.value == before  # fallback path, not binary
-        assert [g.key for g in loaded.groups] == [g.key for g in cube.groups]
+        self._assert_rebuilds(store, cube)
 
-    def test_missing_binary_falls_back_to_json(self, published):
-        # Pre-binary snapshots have no cube.bin at all; they must still load.
+    def test_missing_binary_rebuilds_from_csv(self, published):
         store, dataset, cube, info = published
         (store.root / "routes" / info.version / "cube.bin").unlink()
-        _, loaded, _ = store.load("routes")
-        assert [g.key for g in loaded.groups] == [g.key for g in cube.groups]
+        self._assert_rebuilds(store, cube)
+
+    def test_old_format_binary_rebuilds_from_csv(self, published):
+        # A cube.bin of the previous format revision (int64 masks).
+        store, dataset, cube, info = published
+        binary_path = store.root / "routes" / info.version / "cube.bin"
+        blob = binary_path.read_bytes()
+        old = blob.replace(
+            b'"repro-skyline-cube-bin/2"', b'"repro-skyline-cube-bin/1"'
+        )
+        assert old != blob
+        binary_path.write_bytes(old)
+        self._assert_rebuilds(store, cube)
+
+    def test_rebuild_checks_meta(self, published):
+        # A rebuilt cube that disagrees with meta.json is refused.
+        store, dataset, cube, info = published
+        vdir = store.root / "routes" / info.version
+        (vdir / "cube.bin").unlink()
+        csv = (vdir / "dataset.csv").read_text().splitlines()
+        (vdir / "dataset.csv").write_text("\n".join(csv[:-1]) + "\n")
+        with pytest.raises(ValueError, match="meta.json"):
+            store.load("routes")
 
     def test_activation_latency_observed(self, published):
         from repro.obs import registry

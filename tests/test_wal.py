@@ -298,18 +298,6 @@ class TestServiceDurability:
         assert [r.label for r in read_segment(segment).records] == ["NEW"]
         service.close()
 
-    def test_wal_disabled_loses_mutations(self, published):
-        store = published[0]
-        service = CubeService(store, reload_interval=0, wal_enabled=False)
-        service.maintenance_insert([100.0, 1.0, 0.0], label="NEW")
-        assert not wal_path(store.root, "routes", "v000001").exists()
-        reborn = CubeService(store, reload_interval=0, wal_enabled=False)
-        assert reborn.query("skyline", {"subspace": "price"})["cube_version"] == (
-            "routes@v000001"
-        )
-        service.close()
-        reborn.close()
-
     def test_service_compact_folds_wal(self, published):
         store = published[0]
         service = CubeService(store, reload_interval=0)
@@ -362,15 +350,6 @@ class TestServiceDurability:
         snap = service.health()["snapshots"]["routes"]
         assert snap["wal_depth"] == 1
         assert snap["wal_staleness_seconds"] >= 0
-        service.close()
-
-    def test_wal_disabled_health_depth_is_none(self, published):
-        service = CubeService(
-            published[0], reload_interval=0, wal_enabled=False
-        )
-        service.query("skyline", {"subspace": "price"})
-        snap = service.health()["snapshots"]["routes"]
-        assert snap["wal_depth"] is None
         service.close()
 
 
