@@ -6,13 +6,15 @@ For seed objects :math:`o, o'` the paper defines (Definition 4):
 * coincidence matrix cell ``co[o, o'] = {D : o.D = o'.D}``
 
 and notes (Property 1) that the coincidence matrix is redundant:
-``co[o, o'] = D - dom[o, o'] - dom[o', o]``.  We follow the paper and store
-only dominance rows; coincidence cells are derived on demand.
+``co[o, o'] = D - dom[o, o'] - dom[o', o]``.  Neither matrix is stored
+here: a coincidence row is one direct equality comparison, as cheap as the
+two dominance rows the derivation would need.
 
-Cells are dimension bitmasks (see :mod:`repro.core.bitset`).  Rows are
-computed with one vectorised numpy comparison per seed and cached, which is
-what makes Stellar's "scan a row of the dominance matrix" step cheap even
-with thousands of seeds.
+Cells are dimension bitmasks (see :mod:`repro.core.bitset`).  A row is one
+vectorised numpy comparison per call, which keeps Stellar's "scan a row of
+the dominance matrix" step cheap with thousands of seeds.  Rows are not
+kept: each phase scans the row of one root at a time and computes it once,
+so no ``k × k`` matrix is ever held.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ class PairwiseMatrices:
 
     The class vectorises one full matrix row per call: computing
     ``dom[i, *]`` is a single ``(k, d)`` numpy comparison packed into ``k``
-    bitmask integers, cached afterwards.
+    bitmask integers.  Rows are not cached; callers keep the row they scan.
     """
 
     def __init__(self, dataset: Dataset, indices: Sequence[int]):
@@ -145,8 +147,6 @@ class PairwiseMatrices:
             self._pow2 = np.array(
                 [1 << d for d in range(self._n_dims)], dtype=object
             )
-        self._dom_rows: dict[int, np.ndarray] = {}
-        self._eq_rows: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -158,23 +158,13 @@ class PairwiseMatrices:
 
     def dom_row_array(self, i: int) -> np.ndarray:
         """Row ``dom[i, *]`` as a packed numpy vector (local index ``i``)."""
-        row = self._dom_rows.get(i)
-        if row is None:
-            COMPARISONS.add(len(self.indices))
-            cmp = (self._sub[i] < self._sub).astype(self._pow2.dtype)
-            row = cmp @ self._pow2
-            self._dom_rows[i] = row
-        return row
+        COMPARISONS.add(len(self.indices))
+        return (self._sub[i] < self._sub).astype(self._pow2.dtype) @ self._pow2
 
     def eq_row_array(self, i: int) -> np.ndarray:
         """Row ``co[i, *]`` as a packed numpy vector (local index ``i``)."""
-        row = self._eq_rows.get(i)
-        if row is None:
-            COMPARISONS.add(len(self.indices))
-            cmp = (self._sub[i] == self._sub).astype(self._pow2.dtype)
-            row = cmp @ self._pow2
-            self._eq_rows[i] = row
-        return row
+        COMPARISONS.add(len(self.indices))
+        return (self._sub[i] == self._sub).astype(self._pow2.dtype) @ self._pow2
 
     def dom_row(self, i: int) -> list[int]:
         """Row ``dom[i, *]`` of the dominance matrix, as Python ints."""
@@ -189,18 +179,10 @@ class PairwiseMatrices:
         return int(self.dom_row_array(i)[j])
 
     def co(self, i: int, j: int) -> int:
-        """Cell ``co[i, j]``: dimensions where seeds ``i`` and ``j`` coincide.
-
-        Derived from dominance rows when those are already cached
-        (Property 1), otherwise computed directly.
-        """
-        if i in self._dom_rows and j in self._dom_rows:
-            return self._full & ~self.dom(i, j) & ~self.dom(j, i)
+        """Cell ``co[i, j]``: dimensions where seeds ``i`` and ``j`` coincide."""
         return int(self.eq_row_array(i)[j])
 
     def as_dense(self) -> tuple[list[list[int]], list[list[int]]]:
         """Materialise both matrices (tests and small examples only)."""
         k = len(self.indices)
-        dom = [self.dom_row(i)[:] for i in range(k)]
-        co = [[self.co(i, j) for j in range(k)] for i in range(k)]
-        return dom, co
+        return [self.dom_row(i) for i in range(k)], [self.eq_row(i) for i in range(k)]

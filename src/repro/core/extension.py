@@ -28,16 +28,21 @@ Theorem 5:
   masks) that contains some decisive subspace of the seed group spawns a
   child group ``(G' ∪ {o : share(o) ⊇ B}, B)`` (Example 7's ``P3 P5``).
 
-A closed mask is discarded when some seed outside ``G'`` also coincides
-with the group on all of ``B``: the same child is then generated from the
-larger seed parent, keeping the output duplicate-free.
+A closed mask that contains no decisive subspace of the seed group is
+discarded.  This covers a seed outside ``G'`` that coincides with the group
+on all of ``B``: no dimension of ``B`` beats it, so no seed-side transversal
+fits inside ``B``, and the same child is generated from that seed's larger
+parent instead, keeping the output duplicate-free.
 
-Decisive subspaces of every surviving group are recomputed as minimal
-hitting sets over *both* clause families: ``B ∩ dom[rep, u]`` for outside
-seeds ``u`` and ``B − share(o)`` for relevant outside non-seeds ``o`` (the
-generalisation of Theorem 4 to the full dataset; see
+No group's decisive subspaces are solved from scratch (docs/THEORY.md §9).
+The seed group's ``decisive`` are the minimal transversals ``Tr(F)`` of its
+outside-seed clauses ``B' ∩ dom[rep, u]``; a child on ``B ⊂ B'`` keeps those
+lying inside ``B``, which are exactly ``Tr`` of the clauses cut to ``B``.
+Each relevant outside non-seed ``o`` then adds the clause ``B − share(o)``
+(the generalisation of Theorem 4 to the full dataset; see
 :mod:`repro.core.validate` for the proof sketch and the definitional
-cross-check).
+cross-check), and one Berge step per added clause turns ``Tr(F)`` into
+``Tr(F ∪ G)``.  The dominance rows of the seeds are not read again.
 """
 
 from __future__ import annotations
@@ -45,10 +50,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs.progress import tick
-from .bitset import closed_masks, distinct_masks, is_subset
+from .bitset import closed_masks, is_subset
 from .dominance import PairwiseMatrices
 from .hitting import minimal_hitting_sets
-from .seeds import SeedGroup, singleton_decisive
+from .seeds import SeedGroup
 from .types import Dataset, SkylineGroup
 
 __all__ = ["extend_with_nonseeds", "share_and_beat_masks", "closed_masks"]
@@ -179,6 +184,10 @@ def extend_with_nonseeds(
 ) -> list[SkylineGroup]:
     """Fold the non-seed objects into the seed lattice (Theorem 5).
 
+    Every group's decisive subspaces grow from its seed group's
+    ``decisive`` by Berge steps over the non-seed clauses; ``matrices`` is
+    read only for the seed indices, never for a dominance row.
+
     Returns the complete set of skyline groups of the dataset, with members
     as global indices and projections in raw (user-facing) values.
     """
@@ -193,7 +202,6 @@ def extend_with_nonseeds(
         pow2 = np.array([1 << d for d in range(n_dims)], dtype=object)
 
     results: dict[tuple[tuple[int, ...], int], SkylineGroup] = {}
-    k = len(matrices)
     rep_globals = [
         matrices.indices[sg.representative] for sg in seed_groups
     ]
@@ -205,13 +213,7 @@ def extend_with_nonseeds(
         seed_groups, rep_globals, share_maps
     ):
         tick()
-        rep_local = seed_group.representative
         subspace = seed_group.subspace
-
-        outside = np.ones(k, dtype=bool)
-        outside[list(seed_group.local_members)] = False
-        clause_arr = matrices.dom_row_array(rep_local)[outside] & subspace
-        seed_clause_base = distinct_masks(clause_arr)
 
         # --- the seed group itself, possibly extended in place ----------
         full_joiners = [o for o, m in shares.items() if m == subspace]
@@ -220,26 +222,22 @@ def extend_with_nonseeds(
             rep_global,
             members=sorted(set(seed_group.members) | set(full_joiners)),
             subspace=subspace,
-            seed_clauses=seed_clause_base,
+            seed_decisive=seed_group.decisive,
             outside_shares=[m for m in shares.values() if m != subspace],
         )
         results.setdefault(group.key, group)
 
         # --- child groups at the closed share masks ---------------------
-        if not shares:
-            continue
-        eq_outside = matrices.eq_row_array(rep_local)[outside]
-        for child_space in closed_masks(list(shares.values())):
+        for child_space in closed_masks(shares.values()):
             if child_space == subspace:
                 continue
-            if not any(is_subset(c, child_space) for c in seed_group.decisive):
+            inside = [c for c in seed_group.decisive if is_subset(c, child_space)]
+            if not inside:
                 # No decisive subspace survives inside the child: some
                 # outside seed is unbeaten there, so the projection is not
                 # exclusively skyline anywhere below (Theorem 5 condition).
-                continue
-            if bool(((eq_outside & child_space) == child_space).any()):
-                # Another seed coincides on the whole child subspace: this
-                # child is generated from that larger seed parent instead.
+                # This includes a seed coinciding with the group on all of
+                # the child, which generates the child from its own parent.
                 continue
             joiners = [o for o, m in shares.items() if (m & child_space) == child_space]
             child = _build_group(
@@ -247,10 +245,10 @@ def extend_with_nonseeds(
                 rep_global,
                 members=sorted(set(seed_group.members) | set(joiners)),
                 subspace=child_space,
-                seed_clauses=[c & child_space for c in seed_clause_base],
+                seed_decisive=inside,
                 outside_shares=[
                     m & child_space
-                    for o, m in shares.items()
+                    for m in shares.values()
                     if (m & child_space) != child_space
                 ],
             )
@@ -267,20 +265,21 @@ def _build_group(
     rep_global: int,
     members: list[int],
     subspace: int,
-    seed_clauses: list[int],
+    seed_decisive: list[int] | tuple[int, ...],
     outside_shares: list[int],
 ) -> SkylineGroup:
-    """Assemble one skyline group, recomputing its decisive subspaces."""
-    clauses = set(seed_clauses)
-    for share in outside_shares:
-        clauses.add(subspace & ~share)
-    if clauses:
-        decisive = tuple(minimal_hitting_sets(clauses))
-    else:
-        decisive = singleton_decisive(subspace)
+    """Assemble one skyline group from its seed-side decisive subspaces.
+
+    ``seed_decisive`` are the minimal transversals of the outside seeds'
+    clauses on ``subspace``; one Berge step per non-seed clause
+    ``subspace − share(o)`` extends them to the group's decisive subspaces.
+    """
+    decisive = minimal_hitting_sets(
+        [subspace & ~share for share in outside_shares], start=seed_decisive
+    )
     return SkylineGroup(
         members=frozenset(members),
         subspace=subspace,
-        decisive=decisive,
+        decisive=tuple(decisive),
         projection=dataset.projection(rep_global, subspace),
     )

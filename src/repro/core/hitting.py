@@ -57,7 +57,10 @@ def hits_all(mask: int, clauses: Iterable[int]) -> bool:
 
 
 def minimal_hitting_sets(
-    clauses: Iterable[int], max_candidates: int = 100_000
+    clauses: Iterable[int],
+    max_candidates: int = 100_000,
+    *,
+    start: Iterable[int] = (0,),
 ) -> list[int]:
     """All minimal hitting sets (minimal transversals) of the clause family.
 
@@ -70,6 +73,10 @@ def minimal_hitting_sets(
         code drops such groups instead (step 4 of Algorithm Stellar).
     max_candidates:
         Safety cap on the intermediate candidate count.
+    start:
+        The minimal transversals ``Tr(F)`` of a family ``F`` solved earlier;
+        the result is then ``Tr(F ∪ clauses)``, one Berge step per clause.
+        The default ``(0,)`` is ``Tr`` of the empty family.
 
     Returns
     -------
@@ -78,7 +85,7 @@ def minimal_hitting_sets(
     reduced = minimal_clauses(clauses)
     if reduced and reduced[0] == 0:
         raise ValueError("an empty clause makes the family unhittable")
-    candidates = [0]
+    candidates = list(start)
     for clause in reduced:
         surviving: list[int] = []
         forked: list[int] = []

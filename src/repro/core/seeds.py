@@ -92,12 +92,15 @@ def compute_seed_groups(
     The seed skyline groups -- the nodes of the paper's *seed lattice*.
     """
     seeds = matrices.indices
-    k = len(seeds)
     groups: list[SeedGroup] = []
+    root, row = -1, None
     for local_members, subspace in cgroups:
-        keep, decisive = _clause_verdict(
-            matrices.dom_row_array(local_members[0]), local_members, subspace, k
-        )
+        if local_members[0] != root:
+            # C-groups arrive ordered by smallest member, so each root's
+            # dominance row is computed once and dropped at the next root.
+            root = local_members[0]
+            row = matrices.dom_row_array(root)
+        keep, decisive = _clause_verdict(row, len(local_members), subspace)
         tick()
         if not keep:
             # Some outside seed u is never beaten inside B: the group's
@@ -116,24 +119,23 @@ def compute_seed_groups(
 
 
 def _clause_verdict(
-    dom_row: np.ndarray,
-    local_members: tuple[int, ...],
-    subspace: int,
-    k: int,
+    dom_row: np.ndarray, n_members: int, subspace: int
 ) -> tuple[bool, tuple[int, ...]]:
     """Keep/drop verdict and decisive subspaces of one maximal c-group.
 
-    ``dom_row`` is the representative's packed dominance row over all ``k``
+    ``dom_row`` is the representative's packed dominance row over all
     seeds; the clause family is ``B ∩ dom[rep, u]`` for every outside seed
-    ``u`` (Corollary 1).
+    ``u`` (Corollary 1).  Every member coincides with the representative on
+    ``B``, so its cell of ``dom_row & B`` is 0, and the group is kept iff the
+    ``n_members`` members are the only zeros: no outside seed has an empty
+    clause.  The clauses are then the distinct non-zero cells.
     """
-    mask = np.ones(k, dtype=bool)
-    mask[list(local_members)] = False
-    clause_arr = dom_row[mask] & subspace
-    if clause_arr.size and not clause_arr.all():
+    clause_arr = dom_row & subspace
+    if clause_arr.size - np.count_nonzero(clause_arr) != n_members:
         return False, ()
-    if clause_arr.size:
-        clauses = distinct_masks(clause_arr)
+    # The sorted distinct cells start with the members' 0.
+    clauses = distinct_masks(clause_arr)[1:]
+    if clauses:
         decisive = tuple(sorted(minimal_hitting_sets(clauses)))
     else:
         decisive = singleton_decisive(subspace)

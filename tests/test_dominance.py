@@ -9,7 +9,9 @@ from repro.core.dominance import (
     equal_mask,
     strictly_less_mask,
 )
+from repro.core.stellar import stellar
 from repro.core.types import Dataset
+from repro.data import make_dataset
 
 from .conftest import tiny_int_datasets
 
@@ -90,10 +92,10 @@ class TestPairwiseMatrices:
                 )
 
     def test_co_derivation_matches_direct(self, running_example):
-        """The Property-1 derivation and direct equality agree."""
+        """Reading dominance rows first leaves co() unchanged: rows are
+        not cached, so no earlier read can switch how a cell is computed."""
         a = PairwiseMatrices(running_example, [1, 3, 4])
         b = PairwiseMatrices(running_example, [1, 3, 4])
-        # Force a's dom rows into cache so co() uses the derivation path.
         for i in range(3):
             a.dom_row(i)
         for i in range(3):
@@ -126,3 +128,20 @@ class TestHighDimensional:
             for j in range(4):
                 assert matrices.dom(i, j) == strictly_less_mask(m, i, j)
         assert matrices.full_space == (1 << 70) - 1
+
+
+class TestOneRowPerRoot:
+    """No cache holds the rows, so the phase counts pin one row per root."""
+
+    def test_phase_comparison_counts(self):
+        ds = make_dataset("anticorrelated", 150, 5, seed=11)
+        result = stellar(ds)
+        k = len(result.seeds)
+        assert k > 50
+        root = result.stats.root_span
+        for phase in ("maximal_cgroups", "seed_decisive"):
+            assert root.find(phase).counters["dominance_comparisons"] == k * k
+        # The extension reuses the seed groups' decisive subspaces and
+        # reads no dominance row.
+        counters = root.find("nonseed_extension").counters
+        assert counters["dominance_comparisons"] == 0

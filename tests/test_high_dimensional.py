@@ -10,7 +10,11 @@ verifiable in polynomial time via the Theorem 4 characterisation.
 import numpy as np
 import pytest
 
+from repro.baselines import naive_compressed_cube
+from repro.core.cgroups import enumerate_maximal_cgroups
+from repro.core.dominance import PairwiseMatrices
 from repro.core.extension import _share_maps_block
+from repro.core.seeds import compute_seed_groups, singleton_decisive
 from repro.core.stellar import stellar
 from repro.core.types import Dataset
 from repro.core.validate import (
@@ -22,6 +26,8 @@ from repro.cube.query import QueryEngine
 from repro.data import save_csv
 from repro.serve import CubeService, SnapshotStore
 from repro.skyline import compute_skyline, is_skyline_member
+
+from .test_seeds import KEEP_CASES, group_signatures
 
 
 class TestZeroDimensions:
@@ -38,6 +44,53 @@ class TestZeroDimensions:
         result = stellar(ds)
         assert result.groups == []
         assert result.seed_groups == []
+
+
+class TestKeepVerdictBeyond62Dimensions:
+    """The keep-verdict cases on object-dtype masks.
+
+    62 constant columns go in front of the real ones, which move to bits 62
+    and up.  Every object coincides on the padding, so each group gains it
+    in its maximal subspace and keeps its decisive subspaces shifted, and
+    all objects form one more group on the padding.  The exponential oracle
+    runs on the unpadded rows.
+    """
+
+    PAD = 62
+
+    @pytest.mark.parametrize("rows, cgroup, kept", KEEP_CASES)
+    def test_verdict_and_groups_match_the_oracle(self, rows, cgroup, kept):
+        low = Dataset.from_rows(rows)
+        wide = Dataset(
+            values=np.hstack([np.zeros((low.n_objects, self.PAD)), low.values])
+        )
+        padding = (1 << self.PAD) - 1
+        members, subspace = cgroup
+        cgroup = (members, subspace << self.PAD | padding)
+
+        seeds = compute_skyline(wide)
+        matrices = PairwiseMatrices(wide, seeds)
+        assert matrices.dom_row_array(0).dtype == object
+        cgroups = enumerate_maximal_cgroups(matrices)
+        assert cgroup in cgroups
+        verdicts = {
+            (g.local_members, g.subspace): g
+            for g in compute_seed_groups(wide, matrices, cgroups)
+        }
+        assert (cgroup in verdicts) == kept
+        if kept and len(members) == len(seeds):
+            assert verdicts[cgroup].decisive == singleton_decisive(cgroup[1])
+
+        lifted = {
+            (members, sub << self.PAD | padding, tuple(c << self.PAD for c in dec))
+            for members, sub, dec in group_signatures(naive_compressed_cube(low))
+        }
+        # All objects coincide on the padding alone and no object is
+        # outside, so every padding dimension is decisive for them.
+        lifted.add(
+            (tuple(range(low.n_objects)), padding, singleton_decisive(padding))
+        )
+        assert group_signatures(stellar(wide).groups) == lifted
 
 
 class TestBeyond62Dimensions:

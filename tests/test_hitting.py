@@ -11,6 +11,7 @@ from repro.core.hitting import (
     minimal_clauses,
     minimal_hitting_sets,
 )
+from repro.core.seeds import singleton_decisive
 
 
 def brute_minimal_hitting_sets(clauses: list[int], universe: int) -> list[int]:
@@ -108,3 +109,37 @@ class TestMinimalHittingSets:
             for d in range(8):
                 if hs & (1 << d):
                     assert not hits_all(hs & ~(1 << d), clauses)
+
+
+#: Non-empty clauses over a 6-dimension universe.
+_CLAUSES = st.lists(st.integers(min_value=1, max_value=63), max_size=5)
+
+
+class TestExtendingTransversals:
+    """``Tr(F ∪ G)`` is reached from ``Tr(F)`` by one Berge step per clause."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_CLAUSES, _CLAUSES)
+    def test_extension_equals_solving_the_union(self, family, added):
+        start = minimal_hitting_sets(family)
+        got = minimal_hitting_sets(added, start=start)
+        assert got == minimal_hitting_sets(family + added)
+        if family or added:
+            assert got == brute_minimal_hitting_sets(family + added, 0b111111)
+        else:
+            assert got == [0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=63), _CLAUSES)
+    def test_extension_from_the_singleton_start(self, subspace, added):
+        """``singleton_decisive(B)`` is ``Tr({B})``; every clause is ``⊆ B``."""
+        added = [c & subspace for c in added if c & subspace]
+        start = singleton_decisive(subspace)
+        assert list(start) == minimal_hitting_sets([subspace])
+        got = minimal_hitting_sets(added, start=start)
+        assert got == brute_minimal_hitting_sets([subspace, *added], subspace)
+        assert got == minimal_hitting_sets([subspace, *added])
+
+    def test_empty_extension_returns_the_start(self):
+        start = minimal_hitting_sets([0b0011, 0b1100])
+        assert minimal_hitting_sets([], start=start) == start

@@ -1,10 +1,13 @@
 """Tests for seed skyline groups and their decisive subspaces."""
 
+import pytest
 from hypothesis import given, settings
 
+from repro.baselines import naive_compressed_cube
 from repro.core.cgroups import enumerate_maximal_cgroups
 from repro.core.dominance import PairwiseMatrices
 from repro.core.seeds import compute_seed_groups, singleton_decisive
+from repro.core.stellar import stellar
 from repro.core.types import Dataset
 from repro.core.validate import decisive_subspaces_definitional
 from repro.skyline import compute_skyline
@@ -63,6 +66,50 @@ class TestDroppedCGroups:
         matrices = PairwiseMatrices(ds, seeds)
         cgroups = enumerate_maximal_cgroups(matrices)
         assert ((1, 2), 0b001) in cgroups
+
+
+#: Keep-verdict cases: (rows, c-group as (seed positions, subspace), kept?).
+#: Every row set ends with an object worse than all others everywhere, so
+#: each group has an outside object.
+KEEP_CASES = [
+    # u=(0,9,9) beats w and x on A, their only shared dimension: the
+    # non-member u has a zero clause and the c-group ({w, x}, A) is dropped.
+    ([[0, 9, 9], [1, 2, 5], [1, 5, 2], [10, 10, 10]], ((1, 2), 0b001), False),
+    # Both seeds share A=1, so the c-group ({s1, s2}, A) holds every seed:
+    # its clause family is empty and its decisive subspaces are
+    # singleton_decisive(A).
+    ([[1, 2, 5], [1, 5, 2], [10, 10, 10]], ((0, 1), 0b001), True),
+    # Every seed shares AB; the non-seed (1, 3, 6, 6) shares A with them,
+    # so Berge steps extend singleton_decisive(AB) by the clause B and a
+    # child group on A appears.
+    (
+        [[1, 1, 2, 5], [1, 1, 5, 2], [1, 3, 6, 6], [10, 10, 10, 10]],
+        ((0, 1), 0b0011),
+        True,
+    ),
+]
+
+
+def group_signatures(groups):
+    return {(tuple(sorted(g.members)), g.subspace, tuple(g.decisive)) for g in groups}
+
+
+class TestKeepVerdict:
+    """The keep test reads ``k − |non-zero cells of dom_row & B| == |G|``."""
+
+    @pytest.mark.parametrize("rows, cgroup, kept", KEEP_CASES)
+    def test_verdict_and_groups_match_the_oracle(self, rows, cgroup, kept):
+        ds = Dataset.from_rows(rows)
+        seeds, groups = build_seed_groups(ds)
+        matrices = PairwiseMatrices(ds, seeds)
+        assert cgroup in enumerate_maximal_cgroups(matrices)
+        verdicts = {(g.local_members, g.subspace): g for g in groups}
+        assert (cgroup in verdicts) == kept
+        if kept and len(cgroup[0]) == len(seeds):
+            assert verdicts[cgroup].decisive == singleton_decisive(cgroup[1])
+        assert group_signatures(stellar(ds).groups) == group_signatures(
+            naive_compressed_cube(ds)
+        )
 
 
 class TestAgainstDefinition:
