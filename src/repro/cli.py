@@ -41,7 +41,7 @@ Subcommands
 
 Every subcommand additionally accepts the observability flags
 ``--trace[=FILE]``, ``--metrics``, ``--profile``, ``--log-json[=LEVEL]``,
-``--slowlog[=N]``, ``--flight[=N]``, and ``--progress[=MODE]`` (see
+``--slowlog[=N]``, ``--flight``, and ``--progress[=MODE]`` (see
 docs/OBSERVABILITY.md).
 
 The flight recorder is always on (ring buffer only; dumped on crash or
@@ -70,9 +70,8 @@ observability (accepted by every subcommand; see docs/OBSERVABILITY.md):
                    info)
   --slowlog[=N]    capture the N slowest queries (default 10) and print
                    them, with their explain plans, on exit
-  --flight[=N]     size the flight-recorder ring to N events (default 4096;
-                   off/0 disables) and dump it on exit as well as on
-                   crash/SIGUSR1; the ring itself is always on
+  --flight         dump the always-on flight-recorder ring on exit as
+                   well as on crash/SIGUSR1
   --progress[=MODE]  live progress on stderr; MODE is tty | json | off |
                    auto (default auto: tty when stderr is a terminal)
 """
@@ -125,12 +124,8 @@ def _obs_parent() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--flight",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="N",
-        help="size the always-on flight-recorder ring to N events "
-        "(default 4096; off/0 disables) and dump it on exit in addition "
+        action="store_true",
+        help="dump the always-on flight-recorder ring on exit in addition "
         "to crash/SIGUSR1 dumps",
     )
     group.add_argument(
@@ -174,9 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, default=1000, help="number of objects")
     p_gen.add_argument("--d", type=int, default=5, help="number of dimensions")
     p_gen.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p_gen.add_argument(
-        "--digits", type=int, default=4, help="decimal truncation (-1 disables)"
-    )
     p_gen.add_argument("--out", required=True, help="output CSV path")
 
     p_run = sub.add_parser(
@@ -266,12 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--input", required=True, help="dataset CSV")
     p_analyze.add_argument(
         "--cube", default=None, help="saved cube file (recomputed if omitted)"
-    )
-    p_analyze.add_argument(
-        "--gems-min-criteria",
-        type=int,
-        default=2,
-        help="minimal combined-criteria count for the hidden-gem report",
     )
 
     p_bench = sub.add_parser(
@@ -367,13 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-cache entries (0 disables caching; default 1024)",
     )
     p_serve.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="result-cache entry TTL (default: no TTL, LRU only)",
-    )
-    p_serve.add_argument(
         "--max-concurrency",
         type=int,
         default=8,
@@ -381,33 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="queries executing at once (default 8)",
     )
     p_serve.add_argument(
-        "--queue-limit",
-        type=int,
-        default=16,
-        metavar="N",
-        help="queries allowed to wait for a slot; beyond this requests "
-        "are shed with HTTP 503 (default 16)",
-    )
-    p_serve.add_argument(
         "--deadline-ms",
         type=float,
         default=1000.0,
         metavar="MS",
         help="default per-request deadline (default 1000)",
-    )
-    p_serve.add_argument(
-        "--reload-interval",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="how often to check the CURRENT pointer for hot reload "
-        "(0 = every request; default 0.5)",
-    )
-    p_serve.add_argument(
-        "--preload",
-        action="store_true",
-        help="load every snapshot's active version at startup instead of "
-        "lazily on first request",
     )
     p_serve.add_argument(
         "--slo-interval",
@@ -560,13 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="open-loop arrival rate (default 50 req/s)",
     )
     p_load.add_argument(
-        "--workers",
-        type=int,
-        default=16,
-        metavar="N",
-        help="client threads issuing scheduled requests (default 16)",
-    )
-    p_load.add_argument(
         "--seed", type=int, default=0, help="workload RNG seed (default 0)"
     )
     p_load.add_argument(
@@ -614,13 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=250.0,
         metavar="MS",
         help="client-side latency-SLO threshold (default 250)",
-    )
-    p_load.add_argument(
-        "--slo-target",
-        type=float,
-        default=0.99,
-        metavar="FRAC",
-        help="latency-SLO compliance target (default 0.99)",
     )
     p_load.add_argument(
         "--max-concurrency",
@@ -695,10 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="FILE", help="dump destination "
         "(default flight-<pid>.ndjson under $REPRO_FLIGHT_DIR or the cwd)"
     )
-    p_flight.add_argument(
-        "--tail", type=int, default=10, metavar="N",
-        help="events shown by `flight show` (default 10)",
-    )
 
     p_trace = sub.add_parser(
         "trace",
@@ -766,10 +705,11 @@ def main(argv: list[str] | None = None) -> int:
 def _with_telemetry(handler, args: argparse.Namespace) -> int:
     """Run a subcommand under the always-on in-flight telemetry.
 
-    The flight recorder is enabled for every command (a bounded ring; no
-    output unless the process crashes, receives ``SIGUSR1``, or ``--flight``
-    was passed, which also dumps at exit), and a heartbeat thread samples
-    process vitals (interval from ``REPRO_HEARTBEAT``; ``off`` disables).
+    The flight recorder is enabled for every command (a bounded ring of
+    ``DEFAULT_CAPACITY`` events; no output unless the process crashes,
+    receives ``SIGUSR1``, or ``--flight`` was passed, which also dumps at
+    exit), and a heartbeat thread samples process vitals (interval from
+    ``REPRO_HEARTBEAT``; ``off`` disables).
     ``--progress`` switches the stderr progress stream on.
     An unhandled exception propagates *past* this frame to the
     interpreter's top level, where the installed excepthook writes the
@@ -777,11 +717,7 @@ def _with_telemetry(handler, args: argparse.Namespace) -> int:
     """
     import os
 
-    from .obs.flight import (
-        DEFAULT_CAPACITY,
-        enable_flight,
-        install_crash_hooks,
-    )
+    from .obs.flight import enable_flight, install_crash_hooks
     from .obs.progress import (
         HEARTBEAT_ENV,
         configure_progress,
@@ -789,35 +725,8 @@ def _with_telemetry(handler, args: argparse.Namespace) -> int:
         stop_heartbeat,
     )
 
-    capacity = DEFAULT_CAPACITY
-    flight_spec: str | None = getattr(args, "flight", None)
-    explicit = flight_spec is not None
-    flight_on = True
-    if explicit and flight_spec.strip():
-        text = flight_spec.strip().lower()
-        if text == "off":
-            flight_on = False
-        else:
-            try:
-                capacity = int(text)
-            except ValueError:
-                print(
-                    f"error: --flight expects an event count or 'off', "
-                    f"got {flight_spec!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            if capacity == 0:
-                flight_on = False
-            elif capacity < 0:
-                print(
-                    f"error: --flight capacity must be >= 0, got {capacity}",
-                    file=sys.stderr,
-                )
-                return 2
-    if flight_on:
-        enable_flight(capacity)
-        install_crash_hooks(dump_at_exit=explicit)
+    enable_flight()
+    install_crash_hooks(dump_at_exit=getattr(args, "flight", False))
 
     progress_spec: str | None = getattr(args, "progress", None)
     if progress_spec is not None:
@@ -866,12 +775,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     try:
-        cache = ResultCache(
-            max_entries=args.cache_size, ttl_seconds=args.cache_ttl
-        )
+        cache = ResultCache(max_entries=args.cache_size)
         admission = AdmissionController(
             max_concurrency=args.max_concurrency,
-            queue_limit=args.queue_limit,
             default_deadline_ms=args.deadline_ms,
         )
     except ValueError as exc:
@@ -904,16 +810,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cache=cache,
             admission=admission,
             default_snapshot=args.snapshot,
-            reload_interval=args.reload_interval,
             trace_sink=trace_sink,
             compact_threshold=args.compact_threshold,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.preload:
-        for name in service.preload():
-            print(f"preloaded {name}")
 
     sampler = None
     if args.slo_interval > 0:
@@ -1072,7 +974,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         config = LoadtestConfig(
             duration_seconds=args.duration,
             rate_rps=args.rate,
-            workers=args.workers,
             seed=args.seed,
             deadline_ms=args.deadline_ms,
             churn_interval=args.churn_interval,
@@ -1080,7 +981,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             restart_interval=args.restart_interval,
             snapshot=args.snapshot,
             slo_threshold_seconds=args.slo_threshold_ms / 1e3,
-            slo_target=args.slo_target,
             trace_dir=args.trace_dir,
             trace_slow_ms=args.trace_slow_ms,
         )
@@ -1198,15 +1098,12 @@ def _cmd_flight(args: argparse.Namespace) -> int:
             print("error: flight show requires a dump file", file=sys.stderr)
             return 2
         try:
-            print(summarize_flight_dump(args.file, tail=args.tail))
+            print(summarize_flight_dump(args.file))
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return 0
     written = dump_flight(args.out, reason="manual")
-    if written is None:
-        print("error: flight recorder is disabled", file=sys.stderr)
-        return 2
     print(f"flight record written to {written}")
     return 0
 
@@ -1384,10 +1281,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.distribution == "nba":
         dataset = generate_nba_like(n_players=args.n, seed=args.seed)
     else:
-        digits = None if args.digits < 0 else args.digits
-        dataset = make_dataset(
-            args.distribution, args.n, args.d, seed=args.seed, digits=digits
-        )
+        dataset = make_dataset(args.distribution, args.n, args.d, seed=args.seed)
     save_csv(dataset, args.out)
     print(
         f"wrote {dataset.n_objects} x {dataset.n_dims} "
@@ -1540,8 +1434,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print("dimension influence:")
     for name, count in dimension_influence(cube):
         print(f"  {name}: decisive in {count} groups")
-    gems = hidden_gems(cube, min_criteria=args.gems_min_criteria)
-    print(f"hidden gems (need >= {args.gems_min_criteria} combined criteria):")
+    gems = hidden_gems(cube)
+    print("hidden gems (need >= 2 combined criteria):")
     for obj, size in gems[:10]:
         print(f"  {dataset.labels[obj]} (minimal winning subspace: {size} dims)")
     if not gems:

@@ -21,13 +21,10 @@ from .generators import (
     make_dataset,
     truncate_decimals,
 )
-from .household import HOUSEHOLD_DIMENSIONS, generate_household_like
 from .io import load_csv, save_csv
 from .nba import NBA_DIMENSIONS, generate_nba_like
 
 __all__ = [
-    "generate_household_like",
-    "HOUSEHOLD_DIMENSIONS",
     "generate_correlated",
     "generate_independent",
     "generate_anticorrelated",

@@ -78,7 +78,7 @@ class LoadtestConfig:
     #: client-side trace capture).  Point it at the *same* directory the
     #: server's ``--trace-dir`` uses and the deterministic tail-sampling
     #: policy keeps the two halves of the same traces, so ``repro trace
-    #: critical-path`` sees client, server, and pool-worker spans together.
+    #: critical-path`` sees client and server spans together.
     trace_dir: str | None = None
     #: Client-side tail-sampling slow threshold; keep it equal to the
     #: server's so both halves of a slow trace survive sampling.

@@ -20,7 +20,7 @@ The measurement substrate for the whole library (see docs/OBSERVABILITY.md):
   heartbeat thread sampling RSS/CPU into gauges and the flight recorder.
 
 The CLI exposes all of it through global ``--trace[=FILE]``, ``--metrics``,
-``--profile``, ``--log-json[=LEVEL]``, ``--slowlog[=N]``, ``--flight[=N]``,
+``--profile``, ``--log-json[=LEVEL]``, ``--slowlog[=N]``, ``--flight``,
 and ``--progress[=MODE]`` flags.
 """
 

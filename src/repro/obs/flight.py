@@ -12,7 +12,7 @@ as NDJSON -- one JSON object per line, newest events last -- on:
 * an unhandled exception (a :data:`sys.excepthook` chain),
 * ``SIGUSR1`` (dump, then die with the signal so the run reads as killed),
 * interpreter exit, when the recording was explicitly requested
-  (CLI ``--flight[=N]``), and
+  (CLI ``--flight``), and
 * demand (:func:`dump_flight`, ``repro flight dump``).
 
 The first line of every dump is a ``flight.header`` event carrying process

@@ -78,7 +78,7 @@ class Span:
     ``span_id`` is a process-unique correlation id: structured log records
     (:mod:`repro.obs.logging`) carry it so they can be joined back to the
     trace, and NDJSON span records link to their parent by it.  It is
-    excluded from equality so :meth:`from_dict` round-trips (which
+    excluded from equality so spans rebuilt from an export (which
     allocate fresh ids) still compare equal field-for-field.
     """
 
@@ -131,33 +131,6 @@ class Span:
             if sp.name == name:
                 return sp
         return None
-
-    def to_dict(self) -> dict:
-        """Nested JSON-friendly representation (see also export.py)."""
-        out = {
-            "name": self.name,
-            "start_ns": self.start_ns,
-            "end_ns": self.end_ns,
-            "attributes": dict(self.attributes),
-            "counters": dict(self.counters),
-            "children": [c.to_dict() for c in self.children],
-        }
-        if self.trace_id:
-            out["trace_id"] = self.trace_id
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Span":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            name=payload["name"],
-            start_ns=payload.get("start_ns", 0),
-            end_ns=payload.get("end_ns"),
-            attributes=dict(payload.get("attributes", {})),
-            counters=dict(payload.get("counters", {})),
-            children=[cls.from_dict(c) for c in payload.get("children", [])],
-            trace_id=str(payload.get("trace_id", "")),
-        )
 
 
 class _NullSpan:

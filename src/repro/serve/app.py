@@ -36,14 +36,13 @@ available on demand via ``POST /v1/maintenance/compact``).
 
 from __future__ import annotations
 
+import io
 import json
 import re
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
@@ -52,7 +51,7 @@ from ..cube.compressed import CompressedSkylineCube
 from ..cube.diff import diff_cubes
 from ..cube.maintenance import MaintainedCube
 from ..cube.query import QueryEngine
-from ..data.io import load_csv
+from ..data.io import parse_csv
 from ..wal import WalWriter, apply_records, recover_segment, retire_segment, wal_path
 from ..obs.context import (
     TRACE_ID_HEADER,
@@ -633,10 +632,7 @@ class CubeService:
         activate: bool = True,
     ) -> dict:
         """Build a cube from CSV text and publish it as a new version."""
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "dataset.csv"
-            path.write_text(csv_text)
-            dataset = load_csv(path)
+        dataset = parse_csv(io.StringIO(csv_text, newline=""), source="csv")
         cube = CompressedSkylineCube.build(dataset)
         info = self.store.publish(name, dataset, cube, activate=activate)
         if activate:

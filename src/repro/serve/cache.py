@@ -1,4 +1,4 @@
-"""Thread-safe LRU+TTL cache for query results, keyed by cube version.
+"""Thread-safe LRU cache for query results, keyed by cube version.
 
 The serving layer caches *normalized* query results under the key
 ``(cube_version, query_kind, normalized_args)``.  Correct invalidation is
@@ -9,7 +9,7 @@ matches again.  :meth:`ResultCache.invalidate` additionally drops the dead
 entries eagerly so a long-lived service does not carry old generations
 until LRU pressure finds them.
 
-Hit/miss/eviction/expiry totals feed both the metrics registry (exported
+Hit/miss/eviction/invalidation totals feed both the metrics registry (exported
 as ``repro_serve_cache_*`` by the Prometheus endpoint) and a local
 :meth:`stats` snapshot the ``/healthz`` document embeds.
 """
@@ -17,9 +17,8 @@ as ``repro_serve_cache_*`` by the Prometheus endpoint) and a local
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
 from ..obs.metrics import registry
 
@@ -29,55 +28,38 @@ __all__ = ["ResultCache"]
 _HITS = registry().counter("serve.cache.hits")
 _MISSES = registry().counter("serve.cache.misses")
 _EVICTIONS = registry().counter("serve.cache.evictions")
-_EXPIRED = registry().counter("serve.cache.expired")
 _INVALIDATED = registry().counter("serve.cache.invalidated")
 _SIZE = registry().gauge("serve.cache.size")
 
+#: Lookup default, so a stored ``None`` still reads as a hit.
+_ABSENT = object()
+
 
 class ResultCache:
-    """Bounded LRU cache with optional per-entry TTL.
+    """Bounded LRU cache.
 
     ``max_entries <= 0`` disables caching entirely (every lookup misses,
-    nothing is stored), which keeps call sites branch-free.  ``ttl_seconds``
-    of ``None`` means entries only leave via LRU pressure or invalidation.
+    nothing is stored), which keeps call sites branch-free.  Entries leave
+    only via LRU pressure or invalidation.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 1024,
-        ttl_seconds: float | None = None,
-        *,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError(f"ttl_seconds must be positive, got {ttl_seconds}")
+    def __init__(self, max_entries: int = 1024):
         self.max_entries = max_entries
-        self.ttl_seconds = ttl_seconds
-        self._clock = clock
         self._lock = threading.Lock()
-        #: key -> (value, expiry deadline or None); insertion order is LRU.
-        self._entries: OrderedDict[Hashable, tuple[Any, float | None]] = (
-            OrderedDict()
-        )
+        #: key -> value; insertion order is LRU.
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
 
     def get(self, key: Hashable) -> tuple[Any, bool]:
         """Look up ``key``; returns ``(value, hit)``.
 
-        A hit refreshes the entry's LRU position.  An expired entry counts
-        as a miss (and as one ``serve.cache.expired``).
+        A hit refreshes the entry's LRU position.
         """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                value, expires = entry
-                if expires is not None and self._clock() >= expires:
-                    del self._entries[key]
-                    _SIZE.set(len(self._entries))
-                    _EXPIRED.inc()
-                else:
-                    self._entries.move_to_end(key)
-                    _HITS.inc()
-                    return value, True
+            value = self._entries.get(key, _ABSENT)
+            if value is not _ABSENT:
+                self._entries.move_to_end(key)
+                _HITS.inc()
+                return value, True
             _MISSES.inc()
             return None, False
 
@@ -85,13 +67,8 @@ class ResultCache:
         """Store ``value`` under ``key``, evicting the LRU tail if needed."""
         if self.max_entries <= 0:
             return
-        expires = (
-            self._clock() + self.ttl_seconds
-            if self.ttl_seconds is not None
-            else None
-        )
         with self._lock:
-            self._entries[key] = (value, expires)
+            self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
@@ -134,6 +111,5 @@ class ResultCache:
             "hits": _HITS.value,
             "misses": _MISSES.value,
             "evictions": _EVICTIONS.value,
-            "expired": _EXPIRED.value,
             "invalidated": _INVALIDATED.value,
         }

@@ -16,14 +16,9 @@ All algorithms share one contract (see :mod:`repro.skyline.base`): they take
 a *minimized* value matrix (smaller is better everywhere) plus a subspace
 bitmask and return the sorted indices of the skyline objects, with the
 paper's tie semantics (equal projections never dominate each other).
-
-Beyond the classical operator, :mod:`repro.skyline.kdominant` implements
-the k-dominant skyline relaxation (Chan et al., SIGMOD'06) from the
-paper's related-work discussion.
 """
 
 from .base import is_skyline_member, skyline_brute
-from .kdominant import k_dominant_skyline, k_dominates
 from .registry import SKYLINE_ALGORITHMS, compute_skyline
 
 __all__ = [
@@ -31,6 +26,4 @@ __all__ = [
     "SKYLINE_ALGORITHMS",
     "skyline_brute",
     "is_skyline_member",
-    "k_dominant_skyline",
-    "k_dominates",
 ]

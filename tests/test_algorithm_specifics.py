@@ -7,9 +7,8 @@ that would silently degrade into a slow brute force if broken.
 
 import numpy as np
 
-from repro.core.types import Dataset
+from repro.core.dominance import COMPARISONS
 from repro.data import make_dataset
-from repro.index import SubskyIndex
 from repro.skyline.base import skyline_brute
 from repro.skyline.numpy_skyline import BITSET_MAX_ROWS, chunked_sorted_skyline
 from repro.skyline.sfs import monotone_order
@@ -92,11 +91,30 @@ class TestChunkedScan:
         assert sorted(int(order[p]) for p in positions) == skyline_brute(proj, None)
 
 
-class TestSubskyScanDepthMonotonicity:
-    def test_smaller_subspace_never_scans_less_than_skyline(self):
-        ds = Dataset(values=np.floor(
-            np.random.default_rng(4).random((500, 3)) * 100) / 100)
-        index = SubskyIndex(ds)
-        for subspace in (0b001, 0b011, 0b111):
-            skyline = index.query(subspace)
-            assert index.last_scanned >= len(skyline)
+def _charged(ordered: np.ndarray, chunk: int) -> int:
+    before = COMPARISONS.value
+    chunked_sorted_skyline(ordered, chunk=chunk)
+    return COMPARISONS.value - before
+
+
+class TestChunkedScanCharge:
+    """The scan's ``COMPARISONS`` rule: one test per (candidate, window
+    row) pair compared, plus ``c^2`` for the ``c`` window survivors."""
+
+    def test_single_chunk_with_empty_window_charges_n_squared(self):
+        proj = make_dataset("independent", 50, 3, seed=5).minimized
+        ordered = proj[monotone_order(proj)]
+        assert _charged(ordered, chunk=64) == 50 * 50
+
+    def test_all_skyline_input_over_several_chunks(self):
+        n, chunk = 10, 4
+        # An anti-diagonal: no row dominates another, so every row
+        # survives its window and joins it.
+        ordered = np.column_stack([np.arange(n), np.arange(n)[::-1]]).astype(float)
+        assert len(skyline_brute(ordered, None)) == n
+        expected = 0
+        for start in range(0, n, chunk):
+            c = min(chunk, n - start)
+            expected += c * start + c * c
+        assert expected == 68
+        assert _charged(ordered, chunk) == expected

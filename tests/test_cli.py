@@ -1,5 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -46,6 +49,77 @@ class TestParser:
         args = build_parser().parse_args(["query", "--input", "x.csv",
                                          "--skyline-of", "A", "--trace"])
         assert args.trace == "-"  # console-tree mode
+
+
+class TestRemovedSettings:
+    """Values fixed at one setting: passing one is a usage error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--snapshot-dir", "s", "--cache-ttl", "5"],
+            ["serve", "--snapshot-dir", "s", "--queue-limit", "1"],
+            ["serve", "--snapshot-dir", "s", "--reload-interval", "1"],
+            ["serve", "--snapshot-dir", "s", "--preload"],
+            ["loadtest", "--dataset", "d.csv", "--workers", "2"],
+            ["loadtest", "--dataset", "d.csv", "--slo-target", "0.9"],
+            ["generate", "--out", "d.csv", "--digits", "2"],
+            ["analyze", "--input", "d.csv", "--gems-min-criteria", "3"],
+            ["flight", "show", "F", "--tail", "3"],
+            ["generate", "--out", "d.csv", "--flight=64"],
+        ],
+        ids=lambda argv: argv[-2] if argv[-1][0].isdigit() else argv[-1],
+    )
+    def test_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+
+_REPO = Path(__file__).resolve().parents[1]
+_FENCE = re.compile(r"^```.*?^```", re.M | re.S)
+_INLINE_CODE = re.compile(r"`([^`]+)`")
+_COMMAND = re.compile(r"(?<![\w./-])(?:python3? -m )?repro ([a-z][a-z0-9-]*)")
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+def _documented_commands():
+    """``(where, subcommand, text after it)`` for each documented command."""
+    docs = [
+        _REPO / "README.md",
+        *sorted((_REPO / "docs").glob("*.md")),
+        *sorted(_REPO.glob(".*/skills/*/SKILL.md")),
+    ]
+    for doc in docs:
+        text = doc.read_text()
+        snippets = []
+        for block in _FENCE.findall(text):
+            snippets.extend(block.replace("\\\n", " ").splitlines())
+        prose = _FENCE.sub("", text)
+        snippets.extend(" ".join(m.split()) for m in _INLINE_CODE.findall(prose))
+        for snippet in snippets:
+            matches = list(_COMMAND.finditer(snippet))
+            for i, match in enumerate(matches):
+                end = matches[i + 1].start() if i + 1 < len(matches) else None
+                yield doc.name, match.group(1), snippet[match.end() : end]
+
+
+class TestDocumentedFlags:
+    def test_every_documented_flag_parses(self):
+        parser = build_parser()
+        subparsers = parser._subparsers._group_actions[0].choices
+        global_flags = parser._option_string_actions
+        checked, unknown = 0, []
+        for where, sub, rest in _documented_commands():
+            if sub not in subparsers:
+                continue  # prose such as "from repro import ..."
+            accepted = subparsers[sub]._option_string_actions
+            for flag in _FLAG.findall(rest):
+                checked += 1
+                if flag not in accepted and flag not in global_flags:
+                    unknown.append(f"{where}: repro {sub} {flag}")
+        assert not unknown, unknown
+        assert checked > 100
 
 
 class TestGenerate:

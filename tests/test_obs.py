@@ -227,7 +227,7 @@ class TestExport:
     def test_ndjson_round_trip(self):
         roots = _sample_trace()
         rebuilt = spans_from_ndjson(spans_to_ndjson(roots))
-        assert [s.to_dict() for s in rebuilt] == [s.to_dict() for s in roots]
+        assert rebuilt == roots
 
     def test_ndjson_is_line_oriented_json(self):
         lines = spans_to_ndjson(_sample_trace()).strip().splitlines()

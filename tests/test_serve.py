@@ -12,6 +12,7 @@ import json
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import urllib.request
@@ -149,14 +150,6 @@ class TestResultCache:
         assert cache.get("b") == (None, False)
         assert cache.get("c") == (3, True)
 
-    def test_ttl_expiry(self):
-        now = [0.0]
-        cache = ResultCache(max_entries=4, ttl_seconds=10, clock=lambda: now[0])
-        cache.put("a", 1)
-        assert cache.get("a") == (1, True)
-        now[0] = 11.0
-        assert cache.get("a") == (None, False)
-
     def test_invalidate_by_version(self):
         cache = ResultCache(max_entries=8)
         cache.put(("v1", "skyline", (3,)), ["A"])
@@ -177,10 +170,6 @@ class TestResultCache:
         cache = ResultCache(max_entries=0)
         cache.put("a", 1)
         assert cache.get("a") == (None, False)
-
-    def test_bad_ttl_rejected(self):
-        with pytest.raises(ValueError, match="ttl_seconds"):
-            ResultCache(ttl_seconds=0)
 
 
 class TestAdmissionController:
@@ -384,6 +373,34 @@ class TestCubeService:
         assert payload["error"] == "bad_request"
         # Live traffic stays on the version it was serving.
         assert store.current_version("routes") == "v000001"
+
+    @pytest.mark.parametrize(
+        "csv_text",
+        [
+            "",
+            "\nlabel,a:min\nx,1\n",
+            "name,a:min\nx,1\n",
+            "label,a:min,b:min\nx,1\n",
+            "label,a:min\nx,abc\n",
+            "label,a:sideways\nx,1\n",
+        ],
+        ids=[
+            "empty",
+            "blank-first-line",
+            "no-label",
+            "ragged",
+            "non-numeric",
+            "direction",
+        ],
+    )
+    def test_malformed_csv_is_bad_request(self, service, csv_text):
+        status, payload, _ = service.handle_http(
+            "POST", "/v1/snapshots/publish", {}, {"name": "s", "csv": csv_text}
+        )
+        assert status == 400
+        assert payload["error"] == "bad_request"
+        # The detail names the request's CSV, never a server-side file.
+        assert tempfile.gettempdir() not in payload["detail"]
 
     def test_http_error_mapping(self, service):
         status, payload, _ = service.handle_http(
