@@ -43,7 +43,6 @@ from repro.obs import (
     enable_flight,
     get_logger,
     install_crash_hooks,
-    slow_query_log,
     start_heartbeat,
     stop_heartbeat,
 )
@@ -191,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.log_json is not None:
         configure_logging(args.log_json)
-    configure_slow_query_log(capacity=args.slowlog)
+    slowlog = configure_slow_query_log(capacity=args.slowlog)
     # Black-box telemetry: a bounded in-memory ring, dumped only on an
     # unhandled exception or SIGUSR1 -- a healthy service writes nothing.
     enable_flight()
@@ -223,7 +222,6 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             stop_heartbeat()
             server.close()
-            slowlog = slow_query_log()
             if slowlog.entries():
                 print("[online] slow-query log:")
                 print("\n".join("  " + ln for ln in slowlog.render().splitlines()))

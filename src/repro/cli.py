@@ -611,9 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-dir",
         default=None,
         metavar="DIR",
-        help="tail-sample client-side request spans into this sink "
-        "directory; point it at the server's --trace-dir to get "
-        "stitched client+server traces (default: tracing off)",
+        help="tail-sample request traces (client side, and the server's "
+        "when self-hosted) into this sink directory; point it at a remote "
+        "server's --trace-dir to get stitched traces (default: off)",
     )
     p_load.add_argument(
         "--trace-slow-ms",
@@ -699,7 +699,32 @@ def main(argv: list[str] | None = None) -> int:
         "loadtest": _cmd_loadtest,
         "trace": _cmd_trace,
     }[args.command]
-    return _with_telemetry(handler, args)
+    try:
+        return _with_telemetry(handler, args)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+class _InputError(Exception):
+    """An input file the CLI could not read (one ``error:`` line, exit 2)."""
+
+
+def _read_input(loader, path, *args):
+    """``loader(path, *args)``, or :class:`_InputError` naming ``path``.
+
+    A missing or malformed dataset or cube file then ends in one
+    ``error:`` line and exit 2, not a traceback and a crash dump.
+    """
+    try:
+        return loader(path, *args)
+    except OSError as exc:
+        raise _InputError(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        message = str(exc)
+        if not message.startswith(str(path)):
+            message = f"{path}: {message}"
+        raise _InputError(message) from None
 
 
 def _with_telemetry(handler, args: argparse.Namespace) -> int:
@@ -710,7 +735,8 @@ def _with_telemetry(handler, args: argparse.Namespace) -> int:
     receives ``SIGUSR1``, or ``--flight`` was passed, which also dumps at
     exit), and a heartbeat thread samples process vitals (interval from
     ``REPRO_HEARTBEAT``; ``off`` disables).
-    ``--progress`` switches the stderr progress stream on.
+    ``--progress`` switches the stderr progress stream on.  ``serve`` and
+    ``loadtest`` ``--trace-dir`` install the process's one trace sink.
     An unhandled exception propagates *past* this frame to the
     interpreter's top level, where the installed excepthook writes the
     crash dump -- so nothing here may swallow it.
@@ -724,6 +750,7 @@ def _with_telemetry(handler, args: argparse.Namespace) -> int:
         start_heartbeat,
         stop_heartbeat,
     )
+    from .obs.tracesink import install_trace_sink, uninstall_trace_sink
 
     enable_flight()
     install_crash_hooks(dump_at_exit=getattr(args, "flight", False))
@@ -753,9 +780,14 @@ def _with_telemetry(handler, args: argparse.Namespace) -> int:
     if heartbeat_on:
         start_heartbeat(interval)
 
+    trace_slow_ms: float | None = getattr(args, "trace_slow_ms", None)
+    if trace_slow_ms is not None and args.trace_dir:
+        install_trace_sink(args.trace_dir, slow_threshold_s=trace_slow_ms / 1e3)
+        print(f"tracing into {args.trace_dir} (tail-sampled)", file=sys.stderr)
     try:
         return _run_observed(handler, args)
     finally:
+        uninstall_trace_sink()
         stop_heartbeat()
         if progress_spec is not None:
             configure_progress("off")
@@ -787,7 +819,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     store = SnapshotStore(args.snapshot_dir)
     if args.publish:
         name = args.snapshot or Path(args.publish).stem
-        dataset = load_csv(args.publish)
+        dataset = _read_input(load_csv, args.publish)
         cube = CompressedSkylineCube.build(dataset)
         info = store.publish(name, dataset, cube)
         print(
@@ -795,22 +827,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"({info.n_objects} objects, {info.n_groups} groups)"
         )
 
-    trace_sink = None
-    if args.trace_dir:
-        from .obs.tracesink import TraceSink
-
-        trace_sink = TraceSink(
-            args.trace_dir, slow_threshold_s=args.trace_slow_ms / 1e3
-        )
-        print(f"tracing into {args.trace_dir} (tail-sampled)")
-
     try:
         service = CubeService(
             store,
             cache=cache,
             admission=admission,
             default_snapshot=args.snapshot,
-            trace_sink=trace_sink,
             compact_threshold=args.compact_threshold,
         )
     except ValueError as exc:
@@ -964,11 +986,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         summarize,
     )
 
-    try:
-        dataset = load_csv(args.dataset)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    dataset = _read_input(load_csv, args.dataset)
     csv_text = Path(args.dataset).read_text()
     try:
         config = LoadtestConfig(
@@ -981,8 +999,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             restart_interval=args.restart_interval,
             snapshot=args.snapshot,
             slo_threshold_seconds=args.slo_threshold_ms / 1e3,
-            trace_dir=args.trace_dir,
-            trace_slow_ms=args.trace_slow_ms,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1015,15 +1031,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         )
 
         tmp = tempfile.TemporaryDirectory(prefix="repro-loadtest-")
-        trace_sink = None
-        if args.trace_dir:
-            from .obs.tracesink import TraceSink
-
-            # Self-hosted server shares the client's sink directory, so
-            # one `repro trace show` sees both halves of every trace.
-            trace_sink = TraceSink(
-                args.trace_dir, slow_threshold_s=args.trace_slow_ms / 1e3
-            )
         store_path = Path(tmp.name) / "snapshots"
 
         def _spawn(port: int = 0):
@@ -1035,7 +1042,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
                 ),
                 default_snapshot=args.snapshot,
                 reload_interval=0.1,
-                trace_sink=trace_sink,
             )
             return svc, start_server(svc, port=port)
 
@@ -1194,9 +1200,9 @@ def _run_observed(handler, args: argparse.Namespace) -> int:
     duration of the command; ``--metrics`` prints the metrics registry
     (latency histograms, dominance-comparison totals) afterwards;
     ``--log-json`` switches structured JSON logging on process-wide;
-    ``--slowlog`` sizes the slow-query log and dumps it on exit.  Without any of the
-    flags the handler runs untouched -- the disabled-mode fast path of
-    :mod:`repro.obs` costs nothing.
+    ``--slowlog`` installs the slow-query log and dumps it on exit.
+    Without any of the flags the handler runs untouched -- the
+    disabled-mode fast path of :mod:`repro.obs` costs nothing.
     """
     log_level: str | None = getattr(args, "log_json", None)
     if log_level is not None:
@@ -1209,16 +1215,12 @@ def _run_observed(handler, args: argparse.Namespace) -> int:
             return 2
 
     slowlog_n: int | None = getattr(args, "slowlog", None)
-    if slowlog_n is not None:
-        if slowlog_n <= 0:
-            print(
-                f"error: --slowlog must be positive, got {slowlog_n}",
-                file=sys.stderr,
-            )
-            return 2
-        from .obs import configure_slow_query_log
-
-        configure_slow_query_log(capacity=slowlog_n)
+    if slowlog_n is not None and slowlog_n <= 0:
+        print(
+            f"error: --slowlog must be positive, got {slowlog_n}",
+            file=sys.stderr,
+        )
+        return 2
 
     trace_dest: str | None = getattr(args, "trace", None)
     want_metrics: bool = getattr(args, "metrics", False)
@@ -1232,15 +1234,17 @@ def _run_observed(handler, args: argparse.Namespace) -> int:
         return handler(args)
 
     from .obs import (
+        configure_slow_query_log,
+        disable_slow_query_log,
         disable_tracing,
         enable_tracing,
         profiled,
         registry,
         render_span_tree,
-        slow_query_log,
         write_trace,
     )
 
+    slowlog = configure_slow_query_log(slowlog_n) if slowlog_n else None
     tracer = enable_tracing() if (trace_dest is not None or want_profile) else None
     profile_report = None
     try:
@@ -1252,6 +1256,8 @@ def _run_observed(handler, args: argparse.Namespace) -> int:
     finally:
         if tracer is not None:
             disable_tracing()
+        if slowlog is not None:
+            disable_slow_query_log()
     if tracer is not None and trace_dest is not None and tracer.roots:
         if trace_dest == "-":
             print(render_span_tree(tracer.roots))
@@ -1270,8 +1276,8 @@ def _run_observed(handler, args: argparse.Namespace) -> int:
         print(reg.render())
     if profile_report is not None:
         print(profile_report.render())
-    if slowlog_n is not None:
-        print(slow_query_log().render())
+    if slowlog is not None:
+        print(slowlog.render())
     return rc
 
 
@@ -1295,7 +1301,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .core.stellar import stellar
     from .data import load_csv
 
-    dataset = load_csv(args.input)
+    dataset = _read_input(load_csv, args.input)
     if args.algorithm == "stellar":
         result = stellar(dataset)
         groups = result.groups
@@ -1327,7 +1333,7 @@ def _cmd_skyline(args: argparse.Namespace) -> int:
     from .data import load_csv
     from .skyline import compute_skyline
 
-    dataset = load_csv(args.input)
+    dataset = _read_input(load_csv, args.input)
     subspace = (
         dataset.parse_subspace(args.subspace) if args.subspace else None
     )
@@ -1346,7 +1352,7 @@ def _cmd_cube(args: argparse.Namespace) -> int:
     from .cube import CompressedSkylineCube, save_cube
     from .data import load_csv
 
-    dataset = load_csv(args.input)
+    dataset = _read_input(load_csv, args.input)
     cube = CompressedSkylineCube.build(dataset)
     save_cube(cube, args.out)
     print(
@@ -1360,9 +1366,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from .cube import QueryEngine, load_cube
     from .data import load_csv
 
-    dataset = load_csv(args.input)
+    dataset = _read_input(load_csv, args.input)
     if args.cube:
-        engine = QueryEngine(load_cube(args.cube, dataset))
+        engine = QueryEngine(_read_input(load_cube, args.cube, dataset))
     else:
         engine = QueryEngine.build(dataset)
 
@@ -1418,9 +1424,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     from .data import load_csv
 
-    dataset = load_csv(args.input)
+    dataset = _read_input(load_csv, args.input)
     if args.cube:
-        cube = load_cube(args.cube, dataset)
+        cube = _read_input(load_cube, args.cube, dataset)
     else:
         cube = CompressedSkylineCube.build(dataset)
     summary = cube.summary()

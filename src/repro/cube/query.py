@@ -10,14 +10,14 @@ like the paper's flight-ticket narrative::
 
 Every query is observed (docs/OBSERVABILITY.md, *Serving observability*):
 it runs under a ``query.<family>.<kind>`` tracing span, feeds the
-``query.*`` metrics (latency histograms, per-counter totals), offers its
-span to the slow-query log, and produces a :class:`QueryPlan` describing *how*
-it was resolved -- which of the paper's three resolution routes answered
-it (a decisive-subspace hit, a walk over the membership lattice, or the
-Theorem-5-style dominance fallback), how many groups were touched, and how
-many comparisons were made.  :meth:`QueryEngine.explain` returns that plan
-directly; the plan's counters are, by construction, exactly the deltas the
-metrics registry records for the same query.
+``query.*`` metrics (latency histograms, per-counter totals), and produces
+a :class:`QueryPlan` describing *how* it was resolved -- which of the
+paper's three resolution routes answered it (a decisive-subspace hit, a
+walk over the membership lattice, or the Theorem-5-style dominance
+fallback), how many groups were touched, and how many comparisons were
+made.  :meth:`QueryEngine.explain` returns that plan directly; the plan's
+counters are, by construction, exactly the deltas the metrics registry
+records for the same query.
 
 Every answer comes from the cube (:mod:`repro.cube.compressed`), and the
 engine derives the plan counters from what the cube returns: a
@@ -37,7 +37,6 @@ from ..core.types import Dataset
 from ..obs.context import current_trace_context
 from ..obs.logging import get_logger
 from ..obs.metrics import registry
-from ..obs.slowlog import slow_query_log
 from ..obs.tracing import Tracer, current_tracer
 from .compressed import (
     CompressedSkylineCube,
@@ -176,19 +175,19 @@ class QueryEngine:
 
     @contextmanager
     def _observed(self, kind: str, family: str, argument: str):
-        """Run one query observed: span, metrics, slow-query log, plan.
+        """Run one query observed: span, metrics, plan.
 
         Yields the :class:`QueryPlan` under construction; the body fills
         ``strategy``, ``result_size`` and the work counters.  On exit the
         plan's counters are mirrored 1:1 into the metrics registry (so
-        registry deltas equal the plan) and onto the span, the family
-        latency histogram gets exactly one observation, and the finished
-        span is offered to the process-global slow-query log.
+        registry deltas equal the plan) and onto the span, and the family
+        latency histogram gets exactly one observation.
         """
         plan = QueryPlan(kind=kind, family=family, argument=argument)
         reg = registry()
         comparisons_before = COMPARISONS.value
-        # The slow log keeps this span, so record it even without ambient
+        # The plan's seconds come from this span, and span listeners (the
+        # slow-query log) see it, so record it even without ambient
         # tracing (the same pattern as ``stellar()``).
         tracer = current_tracer() or Tracer()
         with tracer.span(f"query.{family}.{kind}", argument=argument) as sp:
@@ -210,7 +209,6 @@ class QueryEngine:
             if value:
                 reg.counter(f"query.{name}").inc(value)
         reg.counter(f"query.strategy.{plan.strategy}").inc()
-        slow_query_log().record(sp)
         self.last_plan = plan
         _LOG.debug(
             "query.served",

@@ -37,7 +37,6 @@ from ..obs.context import TRACEPARENT_HEADER, TraceContext, use_trace_context
 from ..obs.logging import get_logger
 from ..obs.metrics import MetricsRegistry
 from ..obs.slo import SLOEngine, SLOReport, default_serving_slos
-from ..obs.tracesink import TraceSink
 from ..obs.tracing import Tracer
 from ..skyline import compute_skyline
 from .workload import WorkloadMix
@@ -74,15 +73,6 @@ class LoadtestConfig:
     slo_target: float = 0.99
     availability_target: float = 0.999
     http_timeout: float = 30.0
-    #: Directory for the client half of each sampled trace (None disables
-    #: client-side trace capture).  Point it at the *same* directory the
-    #: server's ``--trace-dir`` uses and the deterministic tail-sampling
-    #: policy keeps the two halves of the same traces, so ``repro trace
-    #: critical-path`` sees client and server spans together.
-    trace_dir: str | None = None
-    #: Client-side tail-sampling slow threshold; keep it equal to the
-    #: server's so both halves of a slow trace survive sampling.
-    trace_slow_ms: float = 100.0
     #: 0 disables restarts; otherwise the ``restart`` callable passed to
     #: :func:`run_loadtest` is invoked once per interval -- the
     #: kill-and-restart durability check of soak mode (the restarted
@@ -301,17 +291,6 @@ class _Runner:
         #: Last cube_version an acknowledged mutation produced (written by
         #: the single churn thread, read by the restart thread).
         self._last_acked_version = ""
-        #: Client half of the request-correlation layer (None when the run
-        #: is untraced).  Default thresholds match the server's sink so the
-        #: deterministic hash keeps the same baseline traces on both sides.
-        self.trace_sink = (
-            TraceSink(
-                config.trace_dir,
-                slow_threshold_s=config.trace_slow_ms / 1e3,
-            )
-            if config.trace_dir
-            else None
-        )
         # Client-side SLO accounting over open-loop latencies.
         self.registry = MetricsRegistry()
         self.engine = SLOEngine(
@@ -325,17 +304,6 @@ class _Runner:
         )
 
     # -- request issuing ---------------------------------------------------
-
-    def _offer_client_span(self, root, status: int, error: str = "") -> None:
-        """Offer the client half of a request's trace to the sink."""
-        if self.trace_sink is None:
-            return
-        self.trace_sink.offer_span(
-            root,
-            source="client",
-            error=status >= 500 or status == 0 or bool(error),
-            shed=status == 503,
-        )
 
     def _traced_http(
         self, endpoint: str, url: str, body: dict | None = None
@@ -359,7 +327,7 @@ class _Runner:
                         ).to_traceparent()
                     },
                 )
-        self._offer_client_span(root, status)
+                root.annotate(status=status)
         return status, payload
 
     def _issue(self, request, arrival: float) -> None:
@@ -393,7 +361,9 @@ class _Runner:
                     )
                 except (URLError, OSError, ValueError) as exc:
                     error = repr(exc)
+                    client_span.annotate(error=error)
                 done = time.perf_counter()
+                client_span.annotate(status=status)
         record = RequestRecord(
             kind=request.kind,
             status=status,
@@ -405,7 +375,6 @@ class _Runner:
             error=error,
             trace_id=ctx.trace_id,
         )
-        self._offer_client_span(client_span, status, error)
         self._observe(record)
         if (
             record.ok

@@ -108,7 +108,7 @@ from .slo import (
 from .slowlog import (
     SlowQueryLog,
     configure_slow_query_log,
-    reset_slow_queries,
+    disable_slow_query_log,
     slow_query_log,
 )
 from .tracesink import (
@@ -124,11 +124,12 @@ from .tracing import (
     Span,
     SpanBackedTimings,
     Tracer,
+    add_span_listener,
     current_tracer,
     disable_tracing,
     enable_tracing,
     open_span_depth,
-    set_span_observer,
+    remove_span_listener,
     span,
     traced,
     tracing_enabled,
@@ -146,7 +147,8 @@ __all__ = [
     "enable_tracing",
     "disable_tracing",
     "SpanBackedTimings",
-    "set_span_observer",
+    "add_span_listener",
+    "remove_span_listener",
     "open_span_depth",
     # trace context + sink
     "TraceContext",
@@ -210,7 +212,7 @@ __all__ = [
     "SlowQueryLog",
     "slow_query_log",
     "configure_slow_query_log",
-    "reset_slow_queries",
+    "disable_slow_query_log",
     # flight recorder
     "FlightRecorder",
     "enable_flight",

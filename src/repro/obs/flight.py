@@ -18,10 +18,10 @@ as NDJSON -- one JSON object per line, newest events last -- on:
 The first line of every dump is a ``flight.header`` event carrying process
 identity (pid, argv, Python version) plus ring statistics (capacity,
 events recorded, events dropped), so a dump is self-describing even when
-the ring wrapped.  Event capture is wired through the span observer hook
-of :mod:`repro.obs.tracing` and a :class:`logging.Handler` on the
-``repro`` logger hierarchy; progress and heartbeat events are recorded
-directly by :mod:`repro.obs.progress`.
+the ring wrapped.  Event capture is wired through a span listener
+(:func:`repro.obs.tracing.add_span_listener`) and a
+:class:`logging.Handler` on the ``repro`` logger hierarchy; progress and
+heartbeat events are recorded directly by :mod:`repro.obs.progress`.
 """
 
 from __future__ import annotations
@@ -169,8 +169,8 @@ class _FlightLogHandler(logging.Handler):
             pass
 
 
-def _observe_span(event: str, span: object) -> None:
-    """Span observer: one ring event per span open/close."""
+def _observe_span(event: str, span: object, root: bool) -> None:
+    """Span listener: one ring event per span open/close."""
     recorder = _RECORDER
     if recorder is None:
         return
@@ -196,7 +196,7 @@ def _observe_span(event: str, span: object) -> None:
 def enable_flight(capacity: int = DEFAULT_CAPACITY) -> FlightRecorder:
     """Switch the flight recorder on (idempotent; re-sizing replaces the ring).
 
-    Wires span open/close events (via the tracing span observer) and
+    Wires span open/close events (via a tracing span listener) and
     ``repro.*`` log records (via a logging handler) into the ring.  Crash
     and signal dumps are separate -- see :func:`install_crash_hooks`.
     """
@@ -207,7 +207,7 @@ def enable_flight(capacity: int = DEFAULT_CAPACITY) -> FlightRecorder:
         return _RECORDER
     recorder = FlightRecorder(capacity)
     _RECORDER = recorder
-    tracing.set_span_observer(_observe_span)
+    tracing.add_span_listener(_observe_span)
     if _LOG_HANDLER is None:
         _LOG_HANDLER = _FlightLogHandler()
         logging.getLogger("repro").addHandler(_LOG_HANDLER)
@@ -220,7 +220,7 @@ def disable_flight() -> None:
     from . import tracing
 
     _RECORDER = None
-    tracing.set_span_observer(None)
+    tracing.remove_span_listener(_observe_span)
     if _LOG_HANDLER is not None:
         logging.getLogger("repro").removeHandler(_LOG_HANDLER)
         _LOG_HANDLER = None

@@ -110,8 +110,8 @@ def _exemplar_suffix(exemplar: tuple[str, float, float] | None) -> str:
     )
 
 
-def render_prometheus(reg: MetricsRegistry | None = None) -> str:
-    """The registry in Prometheus text exposition format (0.0.4).
+def _render(reg: MetricsRegistry | None, *, openmetrics: bool) -> str:
+    """The one exposition body behind both formats.
 
     Deterministic: metrics are emitted name-sorted within each kind
     (counters, then gauges, then infos, then histograms), so consecutive
@@ -121,9 +121,10 @@ def render_prometheus(reg: MetricsRegistry | None = None) -> str:
     reg = reg if reg is not None else registry()
     lines: list[str] = []
     for raw, counter in reg.counters().items():
-        name = prometheus_name(raw, "_total")
-        lines.append(f"# TYPE {name} counter")
-        lines.append(f"{name} {_format_value(counter.value)}")
+        family = prometheus_name(raw, "" if openmetrics else "_total")
+        lines.append(f"# TYPE {family} counter")
+        value = _format_value(counter.value)
+        lines.append(f"{prometheus_name(raw, '_total')} {value}")
     for raw, gauge in reg.gauges().items():
         name = prometheus_name(raw)
         lines.append(f"# TYPE {name} gauge")
@@ -135,8 +136,16 @@ def render_prometheus(reg: MetricsRegistry | None = None) -> str:
         lines.append(f"# TYPE {name} gauge")
         lines.append(f'{name}{{value="{_escape_label(info.value)}"}} 1')
     for raw, hist in reg.histograms().items():
-        _render_histogram(prometheus_name(raw), hist, lines)
+        exemplars = hist.exemplars() if openmetrics else None
+        _render_histogram(prometheus_name(raw), hist, lines, exemplars=exemplars)
+    if openmetrics:
+        lines.append("# EOF")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def render_prometheus(reg: MetricsRegistry | None = None) -> str:
+    """The registry in Prometheus text exposition format (0.0.4)."""
+    return _render(reg, openmetrics=False)
 
 
 def render_openmetrics(reg: MetricsRegistry | None = None) -> str:
@@ -148,28 +157,7 @@ def render_openmetrics(reg: MetricsRegistry | None = None) -> str:
     for buckets whose last sampled request was kept by a trace sink, and
     the exposition always terminates with the mandatory ``# EOF`` line.
     """
-    reg = reg if reg is not None else registry()
-    lines: list[str] = []
-    for raw, counter in reg.counters().items():
-        name = prometheus_name(raw)
-        lines.append(f"# TYPE {name} counter")
-        lines.append(f"{name}_total {_format_value(counter.value)}")
-    for raw, gauge in reg.gauges().items():
-        name = prometheus_name(raw)
-        lines.append(f"# TYPE {name} gauge")
-        lines.append(f"{name} {_format_value(gauge.value)}")
-    for raw, info in reg.infos().items():
-        if not info.value:
-            continue
-        name = prometheus_name(raw)
-        lines.append(f"# TYPE {name} gauge")
-        lines.append(f'{name}{{value="{_escape_label(info.value)}"}} 1')
-    for raw, hist in reg.histograms().items():
-        _render_histogram(
-            prometheus_name(raw), hist, lines, exemplars=hist.exemplars()
-        )
-    lines.append("# EOF")
-    return "\n".join(lines) + "\n"
+    return _render(reg, openmetrics=True)
 
 
 def negotiate_exposition(accept: str | None) -> tuple[str, Callable[..., str]]:

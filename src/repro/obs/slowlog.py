@@ -1,7 +1,7 @@
 """Slow-query log: retain the spans of the N worst queries.
 
-A bounded, always-on capture of the most expensive queries the process has
-served.  The :class:`SlowQueryLog` keeps the ``capacity`` worst query
+A bounded capture of the most expensive queries the process has served.
+The :class:`SlowQueryLog` keeps the ``capacity`` worst query
 :class:`~repro.obs.tracing.Span` objects by duration (a min-heap of the
 retained set, so recording is O(log N) and a fast query that does not beat
 the current floor costs one comparison).  The span already carries
@@ -10,9 +10,10 @@ everything needed to replay or explain the outlier after the fact: its name
 attributes, the plan's work counters, and the ``span_id``/``trace_id`` that
 join it to logs and kept traces.
 
-The process-global instance (:func:`slow_query_log`) is fed by
-:class:`repro.cube.query.QueryEngine`, dumped by the CLI ``--slowlog``
-flag, and printed by ``examples/subspace_query_service.py`` on shutdown.
+The log is a span listener keeping the closing ``query.*`` spans
+:class:`repro.cube.query.QueryEngine` opens.  Nothing is recorded until
+:func:`configure_slow_query_log` installs it (the CLI ``--slowlog`` flag,
+``examples/subspace_query_service.py``).
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from __future__ import annotations
 import heapq
 import threading
 
+from . import tracing
 from .tracing import Span
 
 __all__ = [
     "SlowQueryLog",
     "slow_query_log",
     "configure_slow_query_log",
-    "reset_slow_queries",
+    "disable_slow_query_log",
 ]
 
 #: Default number of worst queries retained.
@@ -63,6 +65,11 @@ class SlowQueryLog:
                 return False
             heapq.heapreplace(self._heap, item)
             return True
+
+    def __call__(self, event: str, sp: Span, root: bool) -> None:
+        """Span listener: record every closing ``query.*`` span."""
+        if event == "end" and sp.name.startswith("query."):
+            self.record(sp)
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -109,28 +116,28 @@ class SlowQueryLog:
             self.seen = 0
 
 
-#: The process-global slow-query log fed by the query engine.
-_SLOW_LOG = SlowQueryLog()
+#: The installed process-wide log (None: queries are not retained).
+_SLOW_LOG: SlowQueryLog | None = None
 
 
-def slow_query_log() -> SlowQueryLog:
-    """The process-global slow-query log."""
+def slow_query_log() -> SlowQueryLog | None:
+    """The installed slow-query log, if any."""
     return _SLOW_LOG
 
 
-def configure_slow_query_log(capacity: int | None = None) -> SlowQueryLog:
-    """Re-create the global log with a new capacity.
-
-    Previously retained entries are dropped (the retention invariant of
-    the old capacity does not transfer).  Returns the new instance.
-    """
+def configure_slow_query_log(capacity: int = DEFAULT_CAPACITY) -> SlowQueryLog:
+    """Install a fresh process-wide log, replacing any other; returns it."""
     global _SLOW_LOG
-    _SLOW_LOG = SlowQueryLog(
-        capacity=capacity if capacity is not None else _SLOW_LOG.capacity
-    )
-    return _SLOW_LOG
+    log = SlowQueryLog(capacity=capacity)
+    disable_slow_query_log()
+    _SLOW_LOG = log
+    tracing.add_span_listener(log)
+    return log
 
 
-def reset_slow_queries() -> None:
-    """Clear the global log in place (tests, repeated CLI invocations)."""
-    _SLOW_LOG.clear()
+def disable_slow_query_log() -> None:
+    """Detach the installed log; later queries are not retained."""
+    global _SLOW_LOG
+    if _SLOW_LOG is not None:
+        tracing.remove_span_listener(_SLOW_LOG)
+        _SLOW_LOG = None

@@ -6,14 +6,22 @@ flattened with its ``span_id``/``parent_span_id`` so spans recorded by
 *different processes* -- the loadtest client and the serving process --
 can be stitched back into a single tree.
 
+A process has at most one sink, installed by :func:`install_trace_sink`
+(the CLI's ``--trace-dir``) as a span listener: when a tracer's root span
+with a trace id closes, the sink keeps or drops its whole tree, reading
+the keep inputs from the root's own attributes.
+
 Sampling is **tail-based**: the keep/drop decision is made after the
 request finishes, when its outcome is known.
 
-* slow (``seconds >= slow_threshold_s``), error, and shed requests are
-  always kept -- those are the traces worth debugging;
+* slow (``seconds >= slow_threshold_s``), error (``status`` >= 500,
+  ``status`` 0 or an ``error`` attribute) and shed (``status`` 503)
+  requests are always kept -- those are the traces worth debugging;
 * everything else is kept with probability ``keep_probability`` using the
   deterministic :func:`repro.obs.context.trace_keep` hash of the trace id,
   so the client and server independently keep the *same* baseline traces.
+  A ``client.*`` root is recorded with ``source`` ``client``, any other
+  with ``server``.
 
 The store is bounded two ways: at most ``max_traces`` files (new traces
 are dropped once full -- never evicted, so a kept slow trace cannot be
@@ -36,11 +44,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .context import trace_keep
+from . import tracing
+from .context import current_trace_context, trace_keep
 from .tracing import Span
 
 __all__ = [
     "TraceSink",
+    "install_trace_sink",
+    "uninstall_trace_sink",
+    "exemplar_trace_id",
     "span_records",
     "parse_span_records",
     "list_traces",
@@ -183,28 +195,61 @@ class TraceSink:
         self.kept += 1
         return True
 
-    def offer_span(
-        self,
-        root: Span,
-        *,
-        source: str = "server",
-        seconds: float | None = None,
-        error: bool = False,
-        shed: bool = False,
-    ) -> bool:
-        """Convenience: flatten ``root`` and :meth:`offer` it."""
-        if not root.trace_id:
+    def __call__(self, event: str, sp: Span, root: bool) -> None:
+        """Span listener: offer each closing root that carries a trace id."""
+        if event != "end" or not root or not sp.trace_id:
+            return
+        status = sp.attributes.get("status")
+        source = "client" if sp.name.startswith("client.") else "server"
+        failed = status == 0 or (isinstance(status, int) and status >= 500)
+        try:
+            self.offer(
+                sp.trace_id,
+                span_records(sp, trace_id=sp.trace_id, source=source),
+                seconds=sp.duration_seconds,
+                error=failed or "error" in sp.attributes,
+                shed=status == 503,
+            )
+        except OSError:  # an unwritable sink must not fail the request
             self.dropped += 1
-            return False
-        if seconds is None:
-            seconds = root.duration_seconds
-        return self.offer(
-            root.trace_id,
-            span_records(root, trace_id=root.trace_id, source=source),
-            seconds=seconds,
-            error=error,
-            shed=shed,
-        )
+
+
+#: The process's one installed sink (None: request traces are not kept).
+_SINK: TraceSink | None = None
+
+
+def install_trace_sink(
+    root: str | Path, *, slow_threshold_s: float = 0.1
+) -> TraceSink:
+    """Install the process-wide sink over ``root``, replacing any other."""
+    global _SINK
+    uninstall_trace_sink()
+    _SINK = TraceSink(root, slow_threshold_s=slow_threshold_s)
+    tracing.add_span_listener(_SINK)
+    return _SINK
+
+
+def uninstall_trace_sink() -> None:
+    """Stop keeping traces (a no-op when no sink is installed)."""
+    global _SINK
+    if _SINK is not None:
+        tracing.remove_span_listener(_SINK)
+        _SINK = None
+
+
+def exemplar_trace_id(seconds: float) -> str | None:
+    """The current trace id iff the installed sink will keep its trace.
+
+    ``should_keep`` is deterministic in (trace id, duration) and a request's
+    root lasts at least ``seconds``, so the exemplar resolves to a kept trace.
+    """
+    sink = _SINK
+    if sink is None:
+        return None
+    ctx = current_trace_context()
+    if ctx is not None and sink.should_keep(ctx.trace_id, seconds=seconds):
+        return ctx.trace_id
+    return None
 
 
 def list_traces(root: str | Path) -> list[dict]:

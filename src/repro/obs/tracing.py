@@ -47,7 +47,8 @@ __all__ = [
     "enable_tracing",
     "disable_tracing",
     "SpanBackedTimings",
-    "set_span_observer",
+    "add_span_listener",
+    "remove_span_listener",
     "open_span_depth",
 ]
 
@@ -184,11 +185,12 @@ _ACTIVE: ContextVar["Tracer | None"] = ContextVar("repro_obs_tracer", default=No
 #: Process-global tracer installed by :func:`enable_tracing` (CLI ``--trace``).
 _GLOBAL: "Tracer | None" = None
 
-#: Optional callback ``(event, span)`` fired on every span open ("start")
-#: and close ("end").  Installed by the flight recorder
-#: (:mod:`repro.obs.flight`); None keeps span bookkeeping at one extra
-#: global read per open/close.
-_SPAN_OBSERVER = None
+#: Callbacks ``(event, span, root)`` fired on every span open ("start")
+#: and close ("end"); ``root`` is True for a tracer's top-level span.  The
+#: flight ring, the trace sink and the slow-query log each listen with
+#: their own retention.  Replaced whole on change, so the hot path reads it
+#: without a lock.
+_LISTENERS: tuple = ()
 
 #: Number of currently open spans across all tracers in this process.
 #: Maintained with plain integer arithmetic (no lock), so under heavy
@@ -197,15 +199,21 @@ _SPAN_OBSERVER = None
 _OPEN_SPANS = 0
 
 
-def set_span_observer(observer) -> None:
-    """Install (or with ``None`` remove) the process-wide span observer.
+def add_span_listener(listener) -> None:
+    """Call ``listener(event, span, root)`` on every span open and close.
 
-    The observer is called as ``observer("start", span)`` when a span opens
-    and ``observer("end", span)`` when it closes.  It must be fast and must
-    never raise: it runs inside the hot span open/close path.
+    ``event`` is ``"start"`` or ``"end"``.  The listener must be fast and
+    must never raise: it runs inside the hot span open/close path.
     """
-    global _SPAN_OBSERVER
-    _SPAN_OBSERVER = observer
+    global _LISTENERS
+    if listener not in _LISTENERS:
+        _LISTENERS = _LISTENERS + (listener,)
+
+
+def remove_span_listener(listener) -> None:
+    """Stop calling ``listener`` (a no-op if it is not registered)."""
+    global _LISTENERS
+    _LISTENERS = tuple(fn for fn in _LISTENERS if fn is not listener)
 
 
 def open_span_depth() -> int:
@@ -232,7 +240,8 @@ class _SpanHandle:
         ctx = current_trace_context()
         if ctx is not None:
             sp.trace_id = ctx.trace_id
-        if tracer._stack:
+        root = not tracer._stack
+        if not root:
             parent = tracer._stack[-1]
             sp.parent_span_id = parent.span_id
             parent.children.append(sp)
@@ -247,8 +256,8 @@ class _SpanHandle:
         self._token = _ACTIVE.set(tracer)
         self._span = sp
         _OPEN_SPANS += 1
-        if _SPAN_OBSERVER is not None:
-            _SPAN_OBSERVER("start", sp)
+        for listener in _LISTENERS:
+            listener("start", sp, root)
         return sp
 
     def __exit__(self, *exc: object) -> bool:
@@ -257,8 +266,10 @@ class _SpanHandle:
         self._tracer._stack.pop()
         _ACTIVE.reset(self._token)
         _OPEN_SPANS -= 1
-        if _SPAN_OBSERVER is not None:
-            _SPAN_OBSERVER("end", self._span)
+        if _LISTENERS:
+            root = not self._tracer._stack
+            for listener in _LISTENERS:
+                listener("end", self._span, root)
         return False
 
 

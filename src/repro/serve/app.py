@@ -57,14 +57,13 @@ from ..obs.context import (
     TRACE_ID_HEADER,
     TRACEPARENT_HEADER,
     TraceContext,
-    current_trace_context,
     parse_traceparent,
     use_trace_context,
 )
 from ..obs.logging import get_logger
 from ..obs.metrics import registry
 from ..obs.promexport import MetricsServer, negotiate_exposition
-from ..obs.tracesink import TraceSink
+from ..obs.tracesink import exemplar_trace_id
 from ..obs.tracing import Tracer, span
 from .admission import (
     AdmissionController,
@@ -277,7 +276,6 @@ class CubeService:
         admission: AdmissionController | None = None,
         default_snapshot: str | None = None,
         reload_interval: float = 0.5,
-        trace_sink: TraceSink | None = None,
         compact_threshold: int = 0,
     ):
         if compact_threshold < 0:
@@ -291,10 +289,6 @@ class CubeService:
         )
         self.default_snapshot = default_snapshot
         self.reload_interval = reload_interval
-        #: Tail-sampling trace store; None disables request tracing output
-        #: (requests still run under a per-request trace context so the
-        #: echoed ``x-repro-trace-id`` header is always present).
-        self.trace_sink = trace_sink
         #: Auto-compact once the active WAL segment holds this many
         #: records; 0 disables the trigger (``repro compact`` still works).
         self.compact_threshold = compact_threshold
@@ -352,7 +346,7 @@ class CubeService:
                 seconds = time.perf_counter() - t0
                 sp.annotate(cached=cached, cube_version=state.cube_version)
             _REQUESTS.inc()
-            exemplar = self._exemplar_trace_id(seconds)
+            exemplar = exemplar_trace_id(seconds)
             _REQUEST_SECONDS.observe(seconds, trace_id=exemplar)
             _kind_seconds(kind).observe(seconds, trace_id=exemplar)
             remaining = max(deadline.remaining(), 0.0)
@@ -886,8 +880,8 @@ class CubeService:
         mints a fresh context.  The resolved trace id is echoed back as
         ``x-repro-trace-id`` on *every* response -- 503 sheds and 504
         deadline failures included, since those are exactly the requests
-        worth looking up afterwards -- and the request's span tree is
-        offered to the tail-sampling trace sink when one is configured.
+        worth looking up afterwards.  The request's ``serve.request`` root
+        span carries the ``status`` a span listener (the trace sink) reads.
         """
         ctx = parse_traceparent(_header_get(headers, TRACEPARENT_HEADER))
         if ctx is None:
@@ -904,29 +898,7 @@ class CubeService:
                 root.annotate(status=status)
         out_headers = dict(out_headers)
         out_headers[TRACE_ID_HEADER] = ctx.trace_id
-        if self.trace_sink is not None:
-            self.trace_sink.offer_span(
-                root,
-                source="server",
-                error=status >= 500,
-                shed=status == 503,
-            )
         return status, payload, out_headers
-
-    def _exemplar_trace_id(self, seconds: float) -> str | None:
-        """The current trace id iff the sink will keep this request's trace.
-
-        Exemplars must reference *retrievable* traces; ``should_keep`` is
-        deterministic in (trace id, duration), so the verdict here matches
-        the sink's offer decision in :meth:`handle_http` for the success
-        path (errors and sheds never reach the latency histograms).
-        """
-        ctx = current_trace_context()
-        if ctx is None or self.trace_sink is None:
-            return None
-        if self.trace_sink.should_keep(ctx.trace_id, seconds=seconds):
-            return ctx.trace_id
-        return None
 
     def _dispatch(
         self, method: str, path: str, query: dict, body: dict

@@ -1,6 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,6 +123,76 @@ class TestDocumentedFlags:
                     unknown.append(f"{where}: repro {sub} {flag}")
         assert not unknown, unknown
         assert checked > 100
+
+
+class TestInputErrors:
+    """An unreadable dataset or cube is one ``error:`` line and exit 2."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, routes_csv):
+        (tmp_path / "blank.csv").write_text("\nA:min\nP1,1\n")
+        (tmp_path / "bad.cube").write_bytes(b"NOTACUBE" + bytes(32))
+        return {
+            "good.csv": routes_csv,
+            "blank.csv": str(tmp_path / "blank.csv"),
+            "bad.cube": str(tmp_path / "bad.cube"),
+            "missing.csv": str(tmp_path / "missing.csv"),
+        }
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["run", "--input", "missing.csv"],
+             "missing.csv: No such file or directory"),
+            (["run", "--input", "blank.csv"],
+             "blank.csv:1: blank line, expected a header row"),
+            (["query", "--input", "good.csv", "--cube", "bad.cube",
+              "--skyline-of", "price"],
+             "bad.cube: not a cube file (bad magic)"),
+        ],
+        ids=["missing", "blank-first-line", "bad-cube-magic"],
+    )
+    def test_exit_2_without_traceback_or_dump(
+        self, inputs, tmp_path, argv, message
+    ):
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_FLIGHT_DIR"}
+        env["PYTHONPATH"] = str(_REPO / "src")
+        env["REPRO_HEARTBEAT"] = "off"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *(inputs.get(a, a) for a in argv)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            cwd=tmp_path,
+            env=env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("flight-*.ndjson"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--input", "missing.csv"],
+            ["skyline", "--input", "blank.csv"],
+            ["cube", "--input", "missing.csv", "--out", "c.cube"],
+            ["query", "--input", "blank.csv", "--skyline-of", "A"],
+            ["query", "--input", "good.csv", "--cube", "missing.csv",
+             "--skyline-of", "price"],
+            ["analyze", "--input", "missing.csv"],
+            ["analyze", "--input", "good.csv", "--cube", "bad.cube"],
+            ["serve", "--snapshot-dir", "snaps", "--publish", "blank.csv"],
+            ["loadtest", "--dataset", "missing.csv"],
+        ],
+        ids=lambda argv: "-".join(argv[:1] + argv[3:4]),
+    )
+    def test_every_reader(self, inputs, tmp_path, argv, capsys):
+        argv = [inputs.get(a, str(tmp_path / a)) if "." in a else a for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestGenerate:

@@ -34,6 +34,7 @@ from repro.data import save_csv
 from repro.obs import (
     configure_logging,
     configure_slow_query_log,
+    disable_slow_query_log,
     disable_tracing,
     enable_tracing,
     get_logger,
@@ -45,7 +46,6 @@ from repro.obs import (
     render_span_tree,
     reset_logging,
     reset_metrics,
-    reset_slow_queries,
     slow_query_log,
     span,
     spans_from_ndjson,
@@ -69,7 +69,7 @@ def _clean_observability():
     disable_tracing()
     reset_metrics()
     reset_logging()
-    configure_slow_query_log(capacity=32)
+    disable_slow_query_log()
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +320,7 @@ class TestSlowQueryLog:
 
     def test_engine_feeds_global_log(self, running_example):
         engine = QueryEngine.build(running_example)
-        reset_slow_queries()
+        configure_slow_query_log()
         engine.skyline("A,B")
         engine.where_wins("P5")
         entries = slow_query_log().entries()
@@ -330,6 +330,23 @@ class TestSlowQueryLog:
         }
         assert all(e.attributes["strategy"] for e in entries)
         assert all(e.span_id for e in entries)
+
+    def test_retains_only_when_installed(self, running_example):
+        engine = QueryEngine.build(running_example)
+        detached = slow_query_log()
+        disable_slow_query_log()
+        engine.skyline("A,B")
+        assert slow_query_log() is None
+        assert detached.seen == 0
+        log = configure_slow_query_log(3)
+        served = []
+        for subspace in ("A", "B", "C", "A,B", "B,C"):
+            engine.skyline(subspace)
+            served.append(engine.last_plan.seconds)
+        assert log.seen == 5
+        assert [e.duration_seconds for e in log.entries()] == sorted(
+            served, reverse=True
+        )[:3]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.obs import (
     TraceContext,
     configure_slow_query_log,
     current_trace_context,
+    disable_slow_query_log,
     format_span_id,
     parse_traceparent,
     registry,
@@ -48,9 +49,11 @@ from repro.obs.tracesink import (
     TraceSink,
     assemble_trace,
     critical_path,
+    install_trace_sink,
     list_traces,
     load_trace,
     span_records,
+    uninstall_trace_sink,
 )
 from repro.obs.tracing import Span, Tracer
 from repro.serve import AdmissionController, CubeService, SnapshotStore
@@ -162,16 +165,23 @@ class TestContextVar:
 
 
 @pytest.fixture
-def service(tmp_path, flight_routes):
+def sink(tmp_path):
+    """The installed process-wide sink, keeping only slow/error/shed roots."""
+    installed = install_trace_sink(tmp_path / "traces", slow_threshold_s=60.0)
+    installed.keep_probability = 0.0
+    yield installed
+    uninstall_trace_sink()
+
+
+@pytest.fixture
+def service(tmp_path, flight_routes, sink):
     store = SnapshotStore(tmp_path / "snapshots")
     cube = CompressedSkylineCube.build(flight_routes)
     store.publish("routes", flight_routes, cube)
-    sink = TraceSink(tmp_path / "traces", keep_probability=0.0)
     return CubeService(
         store,
         reload_interval=0,
         admission=AdmissionController(max_concurrency=1, queue_limit=0),
-        trace_sink=sink,
     )
 
 
@@ -198,7 +208,7 @@ class TestServeTraceHeaders:
         assert headers["x-repro-trace-id"] != TID
         assert len(headers["x-repro-trace-id"]) == 32
 
-    def test_shed_response_carries_trace_id_and_is_kept(self, service):
+    def test_shed_response_carries_trace_id_and_is_kept(self, service, sink):
         with service.admission.admit():  # occupy the only slot
             status, payload, headers = service.handle_http(
                 "GET", "/v1/skyline", {"subspace": ["price"]}, {},
@@ -208,17 +218,38 @@ class TestServeTraceHeaders:
         assert payload["error"] == "overloaded"
         assert headers["x-repro-trace-id"] == TID
         # Sheds are always kept by tail sampling, keep_probability=0 or not.
-        assert load_trace(service.trace_sink.root, TID)
+        assert load_trace(sink.root, TID)
 
-    def test_fast_success_dropped_at_zero_probability(self, service):
+    def test_fast_success_dropped_at_zero_probability(self, service, sink):
         _, _, headers = service.handle_http(
             "GET", "/v1/skyline", {"subspace": ["price"]}, {}
         )
-        assert not load_trace(
-            service.trace_sink.root, headers["x-repro-trace-id"]
-        )
+        assert not load_trace(sink.root, headers["x-repro-trace-id"])
 
-    def test_error_response_kept(self, service):
+    def test_fast_success_follows_the_hash(self, service, sink):
+        sink.keep_probability = 0.5
+        kept = {}
+        for i in range(1, 17):
+            tid = f"{i * 0x0FFFFFFF:08x}" + "0" * 23 + "1"
+            status, _, _ = service.handle_http(
+                "GET", "/v1/skyline", {"subspace": ["price"]}, {},
+                {"traceparent": f"00-{tid}-00f067aa0ba902b7-01"},
+            )
+            assert status == 200
+            kept[tid] = bool(load_trace(sink.root, tid))
+        assert kept == {tid: trace_keep(tid, 0.5) for tid in kept}
+        assert set(kept.values()) == {True, False}
+
+    def test_unwritable_sink_does_not_fail_the_request(self, service, sink):
+        sink.keep_probability = 1.0
+        sink.root.rmdir()
+        status, _, _ = service.handle_http(
+            "GET", "/v1/skyline", {"subspace": ["price"]}, {}
+        )
+        assert status == 200
+        assert sink.dropped == 1
+
+    def test_error_response_kept(self, service, sink):
         status, _, headers = service.handle_http(
             "GET", "/v1/skyline", {"subspace": ["price"]}, {},
             {"traceparent": f"00-{TID}-00f067aa0ba902b7-01"},
@@ -229,7 +260,7 @@ class TestServeTraceHeaders:
             {"traceparent": f"00-{TID}-00f067aa0ba902b7-01"},
         )
         assert status == 404  # unknown endpoint is a 4xx, not kept
-        assert not load_trace(service.trace_sink.root, TID)
+        assert not load_trace(sink.root, TID)
 
 
 # -- trace sink --------------------------------------------------------------
@@ -260,7 +291,8 @@ class TestTraceSink:
         sink = TraceSink(tmp_path, keep_probability=1.0)
         root = _span("serve.request", 0, 5_000_000, 10, endpoint="/v1/x")
         root.children.append(_span("serve.query", 1, 4_000_000, 11, 10))
-        assert sink.offer_span(root, source="server") is True
+        sink("end", root, True)
+        assert sink.kept == 1
         records = load_trace(tmp_path, TID)
         assert [r["name"] for r in records] == [
             "serve.request",
@@ -276,8 +308,44 @@ class TestTraceSink:
 
     def test_spanless_root_dropped(self, tmp_path):
         sink = TraceSink(tmp_path, keep_probability=1.0)
-        sp = Span(name="no-trace", start_ns=0, end_ns=1)
-        assert sink.offer_span(sp) is False
+        sink("end", Span(name="no-trace", start_ns=0, end_ns=1), True)
+        # Only closing roots are offered: a start event or a child is not.
+        sink("start", _span("serve.request", 0, None, 1), True)
+        sink("end", _span("serve.query", 0, 1, 2, 1), False)
+        assert sink.kept == 0
+        assert not list(tmp_path.glob("*.ndjson"))
+
+    @pytest.mark.parametrize(
+        ("name", "attributes", "error", "shed", "source"),
+        [
+            ("serve.request", {"status": 503}, True, True, "server"),
+            ("serve.request", {"status": 500}, True, False, "server"),
+            ("client.request", {"status": 0}, True, False, "client"),
+            ("client.request", {"status": 200, "error": "URLError()"},
+             True, False, "client"),
+        ],
+        ids=["shed", "server-error", "client-status-0", "client-error"],
+    )
+    def test_root_keep_inputs(
+        self, sink, monkeypatch, name, attributes, error, shed, source
+    ):
+        offered = []
+        real_offer = sink.offer
+
+        def spy(trace_id, records, **kw):
+            offered.append(kw)
+            return real_offer(trace_id, records, **kw)
+
+        monkeypatch.setattr(sink, "offer", spy)
+        with use_trace_context(TraceContext(trace_id=TID)):
+            with Tracer().span(name, **attributes):
+                with Tracer().span("nested.root.of.another.tracer"):
+                    pass
+        # The inner span is its own tracer's root: both roots are offered.
+        assert [kw["error"] for kw in offered] == [False, error]
+        assert offered[1]["shed"] is shed
+        (record,) = [r for r in load_trace(sink.root, TID) if r["name"] == name]
+        assert record["source"] == source
 
     def test_max_traces_bound(self, tmp_path):
         sink = TraceSink(tmp_path, keep_probability=1.0, max_traces=1)
@@ -397,6 +465,46 @@ class TestOpenMetrics:
         assert "# TYPE repro_serve_admitted counter" in text
         assert "repro_serve_admitted_total 1" in text
 
+    def test_both_formats_pinned_byte_for_byte(self, monkeypatch):
+        from repro.obs.metrics import MetricsRegistry
+
+        monkeypatch.setattr("repro.obs.metrics.time.time", lambda: 1.7e9 + 0.25)
+        reg = MetricsRegistry()
+        reg.counter("serve.admitted").inc(3)
+        reg.gauge("slo.burn_rate").set(0.5)
+        reg.info("build.version").set("1.0.0")
+        hist = reg.histogram("serve.request_seconds", bounds=(0.001, 0.01, 0.1))
+        hist.observe(0.0004)
+        hist.observe(0.004, trace_id=TID)
+        hist.observe(0.5)
+        body = (
+            "# TYPE repro_slo_burn_rate gauge\n"
+            "repro_slo_burn_rate 0.5\n"
+            "# TYPE repro_build_version gauge\n"
+            'repro_build_version{value="1.0.0"} 1\n'
+            "# TYPE repro_serve_request_seconds histogram\n"
+            'repro_serve_request_seconds_bucket{le="0.001"} 1\n'
+            'repro_serve_request_seconds_bucket{le="0.01"} 2{exemplar}\n'
+            'repro_serve_request_seconds_bucket{le="0.1"} 2\n'
+            'repro_serve_request_seconds_bucket{le="+Inf"} 3\n'
+            "repro_serve_request_seconds_sum 0.5044\n"
+            "repro_serve_request_seconds_count 3\n"
+        )
+        assert render_prometheus(reg) == (
+            "# TYPE repro_serve_admitted_total counter\n"
+            "repro_serve_admitted_total 3\n"
+            + body.replace("{exemplar}", "")
+        )
+        exemplar = f' # {{trace_id="{TID}"}} 0.004 1700000000.250'
+        assert render_openmetrics(reg) == (
+            "# TYPE repro_serve_admitted counter\n"
+            "repro_serve_admitted_total 3\n"
+            + body.replace("{exemplar}", exemplar)
+            + "# EOF\n"
+        )
+        assert render_prometheus(MetricsRegistry()) == ""
+        assert render_openmetrics(MetricsRegistry()) == "# EOF\n"
+
     def test_legacy_exposition_has_no_exemplars(self):
         hist = registry().histogram("serve.request_seconds")
         hist.observe(0.004, trace_id=TID)
@@ -410,22 +518,22 @@ class TestOpenMetrics:
 
 class TestSlowlogTraceIds:
     def test_entries_carry_trace_id_and_endpoint(self, service):
-        configure_slow_query_log(capacity=16)
+        log = configure_slow_query_log(capacity=16)
         try:
             service.handle_http(
                 "GET", "/v1/skyline", {"subspace": ["price"]}, {},
                 {"traceparent": f"00-{TID}-00f067aa0ba902b7-01"},
             )
-            entries = slow_query_log().entries()
+            assert slow_query_log() is log
+            entries = log.entries()
             assert entries
             worst = entries[0]
             assert worst.trace_id == TID
             assert worst.attributes["endpoint"] == "/v1/skyline"
-            rendered = slow_query_log().render()
+            rendered = log.render()
             assert f"trace_id={TID}" in rendered
         finally:
-            configure_slow_query_log(capacity=16)
-            slow_query_log().clear()
+            disable_slow_query_log()
 
 
 # -- loadtest report: slowest requests ---------------------------------------
@@ -515,8 +623,28 @@ class TestTraceCLI:
         serve = _span("serve.request", 2 * ms, 18 * ms, 2, 1)
         serve.children.append(_span("serve.admission.wait", 2 * ms, 3 * ms, 3, 2))
         root.children.append(serve)
-        sink.offer_span(root, source="client", seconds=0.02)
+        sink("end", root, True)  # a closing client root, as a listener sees it
         return tmp_path / "traces"
+
+    def test_self_hosted_loadtest_writes_both_sources(
+        self, tmp_path, flight_routes, capsys
+    ):
+        csv = tmp_path / "routes.csv"
+        save_csv(flight_routes, csv)
+        traces = tmp_path / "traces"
+        rc = main(
+            [
+                "loadtest", "--dataset", str(csv), "--duration", "0.5",
+                "--rate", "20", "--no-ledger", "--trace-dir", str(traces),
+                "--trace-slow-ms", "0",
+            ]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        assert main(["trace", "ls", "--trace-dir", str(traces), "--json"]) == 0
+        summaries = json.loads(capsys.readouterr().out)
+        assert summaries
+        assert any(s["sources"] == ["client", "server"] for s in summaries)
 
     def test_ls(self, sink_dir, capsys):
         assert main(["trace", "ls", "--trace-dir", str(sink_dir)]) == 0
