@@ -40,8 +40,7 @@ import numpy as np
 from ..core.bitset import bit_list, minimal_masks
 from ..core.types import Dataset, SkylineGroup, group_sort_key
 from ..core.validate import common_coincidence_mask
-from ..obs.progress import ProgressTask, tick
-from ..obs.tracing import Span, SpanBackedTimings, Tracer, current_tracer
+from ..obs.tracing import Span, SpanBackedTimings, Tracer, current_tracer, tick
 from ..skycube.traversal import SubspaceSearch
 
 __all__ = ["SkyeyStats", "SkyeyResult", "skyey"]
@@ -144,9 +143,7 @@ def skyey(
         n_dims=n_dims,
         candidate_pruning=candidate_pruning,
     ) as root:
-        with tracer.span("subspace_search") as sp, ProgressTask(
-            "subspace_search", total=full
-        ):
+        with tracer.span("subspace_search", total=full) as sp:
             search = SubspaceSearch(minimized, share_sort_keys, candidate_pruning)
             _record(minimized, search.nodes(), recorded, skyline_sizes)
             stats.n_subspaces_searched = len(skyline_sizes)

@@ -24,7 +24,7 @@ from ..core.types import Dataset
 from ..cube.compressed import CompressedSkylineCube
 from ..data.generators import make_dataset
 from ..data.nba import generate_nba_like
-from ..obs.tracing import span
+from ..obs.tracing import Tracer, current_tracer
 from .harness import SCALES, BudgetedRunner, Scale
 from .reporting import FigureResult
 
@@ -230,5 +230,9 @@ def run_figure(name: str, scale: str | Scale = "default") -> FigureResult:
     except KeyError:
         known = ", ".join(sorted(FIGURES))
         raise ValueError(f"unknown figure {name!r}; known: {known}") from None
-    with span(f"bench.{name}", scale=scale if isinstance(scale, str) else scale.name):
+    # A phase span with no total up front: each sweep point ticks it as it
+    # finishes (BudgetedRunner.run), with or without --trace.
+    tracer = current_tracer() or Tracer()
+    label = scale if isinstance(scale, str) else scale.name
+    with tracer.span(f"bench.{name}", scale=label, total=None):
         return fn(scale)

@@ -9,8 +9,7 @@ from pathlib import Path
 
 from ..obs.export import write_trace
 from ..obs.flight import record as flight_record
-from ..obs.progress import tick
-from ..obs.tracing import current_tracer, span
+from ..obs.tracing import current_tracer, span, tick
 
 __all__ = [
     "Scale",

@@ -47,6 +47,8 @@ docs/OBSERVABILITY.md).
 The flight recorder is always on (ring buffer only; dumped on crash or
 ``SIGUSR1``), and a resource heartbeat samples RSS/CPU once per second;
 set ``REPRO_HEARTBEAT`` to a number of seconds or ``off`` to tune it.
+``--progress`` writes a line when a build phase span opens and closes,
+and each heartbeat refreshes it in between.
 """
 
 from __future__ import annotations
@@ -72,8 +74,9 @@ observability (accepted by every subcommand; see docs/OBSERVABILITY.md):
                    them, with their explain plans, on exit
   --flight         dump the always-on flight-recorder ring on exit as
                    well as on crash/SIGUSR1
-  --progress[=MODE]  live progress on stderr; MODE is tty | json | off |
-                   auto (default auto: tty when stderr is a terminal)
+  --progress[=MODE]  live progress on stderr, refreshed once per
+                   heartbeat; MODE is tty | json | off | auto (default
+                   auto: tty when stderr is a terminal)
 """
 
 
@@ -265,10 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "figure",
-        help="fig8 | fig9 | fig10 | fig11 | fig12 | all | diff",
+        choices=["fig8", "fig9", "fig10", "fig11", "fig12", "all", "diff"],
     )
     p_bench.add_argument(
-        "--scale", default="default", help="smoke | default | paper"
+        "--scale", default="default", choices=["smoke", "default", "paper"]
     )
     p_bench.add_argument(
         "--out", default=None, help="directory to save the rendered tables"
@@ -707,7 +710,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 class _InputError(Exception):
-    """An input file the CLI could not read (one ``error:`` line, exit 2)."""
+    """An input file or argument value the CLI cannot use.
+
+    Ends in one ``error:`` line and exit 2.
+    """
 
 
 def _read_input(loader, path, *args):
@@ -1284,10 +1290,15 @@ def _run_observed(handler, args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace) -> int:
     from .data import generate_nba_like, make_dataset, save_csv
 
-    if args.distribution == "nba":
-        dataset = generate_nba_like(n_players=args.n, seed=args.seed)
-    else:
-        dataset = make_dataset(args.distribution, args.n, args.d, seed=args.seed)
+    try:
+        if args.distribution == "nba":
+            dataset = generate_nba_like(n_players=args.n, seed=args.seed)
+        else:
+            dataset = make_dataset(
+                args.distribution, args.n, args.d, seed=args.seed
+            )
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
     save_csv(dataset, args.out)
     print(
         f"wrote {dataset.n_objects} x {dataset.n_dims} "
@@ -1334,9 +1345,12 @@ def _cmd_skyline(args: argparse.Namespace) -> int:
     from .skyline import compute_skyline
 
     dataset = _read_input(load_csv, args.input)
-    subspace = (
-        dataset.parse_subspace(args.subspace) if args.subspace else None
-    )
+    try:
+        subspace = (
+            dataset.parse_subspace(args.subspace) if args.subspace else None
+        )
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
     skyline = compute_skyline(dataset, subspace, algorithm=args.algorithm)
     shown = (
         dataset.format_subspace(subspace) if subspace else "full space"
@@ -1460,15 +1474,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench import FIGURES, emit_trace, run_figure
     from .bench.ledger import append_entry, entry_from_result, ledger_path
     from .core.dominance import COMPARISONS
-    from .obs.progress import ProgressTask
 
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]
     for name in names:
         comparisons_before = COMPARISONS.value
-        # Points tick the ambient task as they finish (BudgetedRunner.run);
-        # totals are unknown up front, so the task reports rate only.
-        with ProgressTask(f"bench.{name}"):
-            result = run_figure(name, scale=args.scale)
+        result = run_figure(name, scale=args.scale)
         print(result.to_text())
         print()
         if not args.no_ledger:

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..obs.progress import tick
+from ..obs.tracing import tick
 from .bitset import closed_masks, is_subset
 from .dominance import PairwiseMatrices
 from .hitting import minimal_hitting_sets

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs.progress import tick
+from ..obs.tracing import tick
 from .bitset import bit, distinct_masks, iter_bits
 from .dominance import PairwiseMatrices
 from .hitting import minimal_hitting_sets

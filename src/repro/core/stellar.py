@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs.progress import ProgressTask
 from ..obs.tracing import Span, SpanBackedTimings, Tracer, current_tracer
 from ..skyline import compute_skyline
 from .cgroups import enumerate_maximal_cgroups
@@ -123,9 +122,13 @@ def stellar(
     return result
 
 
-def _phase(tracer: Tracer, name: str):
-    """Open one Stellar phase span, pre-wired with the comparison counter."""
-    return _PhaseHandle(tracer, name)
+def _phase(tracer: Tracer, name: str, total: int | None):
+    """Open one Stellar phase span, pre-wired with the comparison counter.
+
+    ``total`` makes it a phase span (see :mod:`repro.obs.progress`): the
+    items the phase will tick through, or None when unknown up front.
+    """
+    return _PhaseHandle(tracer, name, total)
 
 
 class _PhaseHandle:
@@ -133,8 +136,8 @@ class _PhaseHandle:
 
     __slots__ = ("_handle", "_span", "_before")
 
-    def __init__(self, tracer: Tracer, name: str):
-        self._handle = tracer.span(name)
+    def __init__(self, tracer: Tracer, name: str, total: int | None):
+        self._handle = tracer.span(name, total=total)
 
     def __enter__(self) -> Span:
         self._before = COMPARISONS.value
@@ -153,31 +156,25 @@ def _stellar_core(dataset: Dataset, tracer: Tracer) -> StellarResult:
     if dataset.n_objects == 0:
         return StellarResult(groups=[], seed_groups=[], seeds=[], stats=stats)
 
-    with _phase(tracer, "full_space_skyline") as sp:
-        with ProgressTask(
-            "full_space_skyline", total=dataset.n_objects
-        ) as task:
-            seeds = compute_skyline(dataset, None)
-            task.advance(dataset.n_objects)
+    with _phase(tracer, "full_space_skyline", dataset.n_objects) as sp:
+        seeds = compute_skyline(dataset, None)
+        sp.count("items", dataset.n_objects)
         sp.count("seeds", len(seeds))
     stats.n_seeds = len(seeds)
 
-    with _phase(tracer, "maximal_cgroups") as sp:
-        with ProgressTask("maximal_cgroups"):
-            matrices = PairwiseMatrices(dataset, seeds)
-            cgroups = enumerate_maximal_cgroups(matrices)
+    with _phase(tracer, "maximal_cgroups", None) as sp:
+        matrices = PairwiseMatrices(dataset, seeds)
+        cgroups = enumerate_maximal_cgroups(matrices)
         sp.count("maximal_cgroups", len(cgroups))
     stats.n_maximal_cgroups = len(cgroups)
 
-    with _phase(tracer, "seed_decisive") as sp:
-        with ProgressTask("seed_decisive", total=len(cgroups)):
-            seed_groups = compute_seed_groups(dataset, matrices, cgroups)
+    with _phase(tracer, "seed_decisive", len(cgroups)) as sp:
+        seed_groups = compute_seed_groups(dataset, matrices, cgroups)
         sp.count("seed_groups", len(seed_groups))
     stats.n_seed_groups = len(seed_groups)
 
-    with _phase(tracer, "nonseed_extension") as sp:
-        with ProgressTask("nonseed_extension", total=len(seed_groups)):
-            groups = extend_with_nonseeds(dataset, matrices, seed_groups)
+    with _phase(tracer, "nonseed_extension", len(seed_groups)) as sp:
+        groups = extend_with_nonseeds(dataset, matrices, seed_groups)
         sp.count("groups", len(groups))
     stats.n_groups = len(groups)
 

@@ -16,8 +16,9 @@ The measurement substrate for the whole library (see docs/OBSERVABILITY.md):
 * :mod:`repro.obs.slowlog` -- bounded worst-N retention of query spans;
 * :mod:`repro.obs.flight` -- always-on bounded flight recorder dumped as
   NDJSON on crash, ``SIGUSR1``, or request;
-* :mod:`repro.obs.progress` -- live build progress (rate/ETA) plus a
-  heartbeat thread sampling RSS/CPU into gauges and the flight recorder.
+* :mod:`repro.obs.progress` -- live build progress (rate/ETA) read from
+  open phase spans, plus a heartbeat thread sampling RSS/CPU into gauges
+  and the flight recorder.
 
 The CLI exposes all of it through global ``--trace[=FILE]``, ``--metrics``,
 ``--profile``, ``--log-json[=LEVEL]``, ``--slowlog[=N]``, ``--flight``,
@@ -75,16 +76,11 @@ from .logging import (
 from .profile import Hotspot, ProfileReport, profiled
 from .progress import (
     Heartbeat,
-    ProgressTask,
-    active_heartbeat,
     configure_progress,
     cpu_seconds,
-    current_task,
-    progress_mode,
     rss_bytes,
     start_heartbeat,
     stop_heartbeat,
-    tick,
 )
 from .promexport import (
     OPENMETRICS_CONTENT_TYPE,
@@ -226,15 +222,10 @@ __all__ = [
     "read_flight_dump",
     "summarize_flight_dump",
     # progress + heartbeat
-    "ProgressTask",
     "configure_progress",
-    "progress_mode",
-    "current_task",
-    "tick",
     "Heartbeat",
     "start_heartbeat",
     "stop_heartbeat",
-    "active_heartbeat",
     "rss_bytes",
     "cpu_seconds",
 ]

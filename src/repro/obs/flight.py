@@ -4,9 +4,9 @@ Spans, metrics, and the Prometheus endpoint tell the story of a build
 *after* a phase finishes; the flight recorder tells it *while* the build is
 running -- and, crucially, still tells it when the build never finishes.
 It is a bounded ring buffer of timestamped events (span opens/closes,
-structured log records, progress ticks, heartbeat samples, metric
-snapshots) that costs one global read per candidate event while disabled
-and one lock-guarded ``deque.append`` while enabled.  The ring is dumped
+structured log records, heartbeat samples, metric snapshots) that costs
+one global read per candidate event while disabled and one lock-guarded
+``deque.append`` while enabled.  The ring is dumped
 as NDJSON -- one JSON object per line, newest events last -- on:
 
 * an unhandled exception (a :data:`sys.excepthook` chain),
@@ -20,8 +20,9 @@ identity (pid, argv, Python version) plus ring statistics (capacity,
 events recorded, events dropped), so a dump is self-describing even when
 the ring wrapped.  Event capture is wired through a span listener
 (:func:`repro.obs.tracing.add_span_listener`) and a
-:class:`logging.Handler` on the ``repro`` logger hierarchy; progress and
-heartbeat events are recorded directly by :mod:`repro.obs.progress`.
+:class:`logging.Handler` on the ``repro`` logger hierarchy; heartbeat
+samples, which carry the innermost open phase's progress, are recorded by
+:mod:`repro.obs.progress`.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ __all__ = [
     "summarize_flight_dump",
 ]
 
-#: Default ring capacity: enough for minutes of throttled progress ticks
-#: and heartbeats while staying a few hundred kilobytes of memory.
+#: Default ring capacity: enough for minutes of phase spans and heartbeats
+#: while staying a few hundred kilobytes of memory.
 DEFAULT_CAPACITY = 4096
 
 #: Environment variable naming the directory crash dumps are written to

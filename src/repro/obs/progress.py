@@ -1,26 +1,28 @@
 """Live build progress and the resource heartbeat.
 
-Long cube builds (Stellar's four phases, Skyey's ``2^d - 1`` subspace
-search, benchmark sweeps) were observable only after the fact: spans and
-metrics land when a phase *finishes*.  This module makes the in-flight
-state first-class:
+A build phase is a span opened with a ``total`` attribute (``None`` when
+the amount of work is unknown up front): Stellar's four phases, Skyey's
+``2^d - 1`` subspace search, a ``repro bench`` figure.  The work inside it
+advances the span's ``items`` counter through
+:func:`repro.obs.tracing.tick`.  This module follows those spans with one
+span listener:
 
-* :class:`ProgressTask` -- one named unit of work with an optional total,
-  advanced by the code doing the work (directly or via the ambient
-  :func:`tick`).  Each throttled emission updates the ``build.*`` gauges
-  (items done/total, rate), the ``build.phase`` info metric, the flight
-  recorder, and -- opt-in -- a TTY progress line or JSON-per-line stream
-  on stderr (CLI ``--progress[=tty|json|off]``).
+* when a phase opens or closes, it sets the ``build.*`` gauges (items
+  done/total, rate) and the ``build.phase`` info metric, and -- opt-in --
+  writes a TTY progress line or JSON-per-line stream on stderr (CLI
+  ``--progress[=tty|json|off]``); the closing line is marked ``final``;
 * :class:`Heartbeat` -- a daemon thread sampling process vitals every
   ``interval`` seconds: RSS and CPU time (``/proc/self/statm`` with a
   :func:`resource.getrusage` fallback), open-span depth, dominance
   comparisons per second.  Samples land in the ``process.*`` /
-  ``build.*`` gauges (so a Prometheus scrape mid-build shows the live
-  phase, progress counts, and memory) and in the flight recorder, with a
-  full metrics snapshot every few beats.
+  ``build.*`` gauges and in the flight recorder, with a full metrics
+  snapshot every few beats.  Each sample also refreshes the gauges and
+  the progress line from the innermost open phase, so between a phase's
+  open and close lines the progress line refreshes once per heartbeat.
 
-Progress state is process-local; with no ambient task :func:`tick` is a
-cheap no-op.
+The listener is registered only while the process-wide heartbeat runs or
+a progress mode other than ``off`` is set, so spans cost nothing extra
+otherwise.
 """
 
 from __future__ import annotations
@@ -34,19 +36,14 @@ import time
 
 from .flight import record as flight_record
 from .metrics import MetricsRegistry, registry
-from .tracing import open_span_depth
+from .tracing import Span, add_span_listener, open_span_depth, remove_span_listener
 
 __all__ = [
     "PROGRESS_MODES",
-    "ProgressTask",
     "configure_progress",
-    "progress_mode",
-    "current_task",
-    "tick",
     "Heartbeat",
     "start_heartbeat",
     "stop_heartbeat",
-    "active_heartbeat",
     "HEARTBEAT_ENV",
     "rss_bytes",
     "cpu_seconds",
@@ -59,22 +56,23 @@ PROGRESS_MODES = ("off", "tty", "json", "auto")
 #: ``off`` to disable the thread entirely).
 HEARTBEAT_ENV = "REPRO_HEARTBEAT"
 
-#: Minimum seconds between two emissions of the same task.
-_MIN_INTERVAL = 0.2
-
 #: Resolved output mode: "off", "tty", or "json".
 _MODE = "off"
 
-#: Stack of active tasks, innermost last (process-local, parent-side).
-_TASKS: list["ProgressTask"] = []
+#: Open phase spans, innermost last.  Replaced whole on change, so the
+#: heartbeat thread reads it without a lock; changes take ``_PHASES_LOCK``
+#: because builds in several serving threads may open phases at once.
+_PHASES: tuple[Span, ...] = ()
+_PHASES_LOCK = threading.Lock()
 
 
 def configure_progress(mode: str = "auto") -> str:
     """Set the progress *output* mode; returns the resolved mode.
 
     ``auto`` picks ``tty`` when stderr is a terminal and ``json``
-    otherwise.  The mode only controls stderr output: gauges and flight
-    events are always maintained while a task is active.
+    otherwise.  Any mode but ``off`` follows phase spans (gauges and
+    stderr lines); with ``off`` they are followed only while the
+    process-wide heartbeat runs.
     """
     global _MODE
     if mode not in PROGRESS_MODES:
@@ -83,188 +81,64 @@ def configure_progress(mode: str = "auto") -> str:
     if mode == "auto":
         mode = "tty" if sys.stderr.isatty() else "json"
     _MODE = mode
+    _sync_listener()
     return mode
 
 
-def progress_mode() -> str:
-    """The resolved output mode ("off" / "tty" / "json")."""
-    return _MODE
+def _sync_listener() -> None:
+    """Follow phase spans iff the heartbeat runs or progress is not off."""
+    global _PHASES
+    if _MODE != "off" or _HEARTBEAT is not None:
+        add_span_listener(_observe_phase)
+    else:
+        remove_span_listener(_observe_phase)
+        _PHASES = ()
 
 
-def current_task() -> "ProgressTask | None":
-    """The innermost active task, if any."""
-    return _TASKS[-1] if _TASKS else None
-
-
-def tick(n: int = 1) -> None:
-    """Advance the innermost active task; a no-op when none is active.
-
-    This is what instrumented loops call: it feeds the enclosing phase's
-    task; with no ambient task the call costs one global read.
-    """
-    if _TASKS:
-        _TASKS[-1].advance(n)
-
-
-class ProgressTask:
-    """One named unit of work with rate and ETA estimation.
-
-    Use as a context manager around a phase::
-
-        with ProgressTask("nonseed_extension", total=len(seed_groups)):
-            for group in seed_groups:
-                ...
-                tick()
-
-    ``advance`` is cheap when called often: emissions are throttled to
-    ``min_interval`` seconds with an adaptive stride, so the steady-state
-    cost of a tick is two integer operations.
-    """
-
-    def __init__(
-        self,
-        phase: str,
-        total: int | None = None,
-        *,
-        min_interval: float = _MIN_INTERVAL,
-        reg: MetricsRegistry | None = None,
-    ):
-        self.phase = phase
-        self.total = total
-        self.done = 0
-        self.min_interval = min_interval
-        self._reg = reg if reg is not None else registry()
-        self._started = time.monotonic()
-        self._last_emit = self._started
-        self._emitted = False
-        self._stride = 1
-        self._since_check = 0
-        self._finished = False
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def start(self) -> "ProgressTask":
-        """Activate the task (pushed as the innermost ambient task)."""
-        _TASKS.append(self)
-        self._started = time.monotonic()
-        self._last_emit = self._started
-        self._set_gauges()
-        flight_record("progress.start", phase=self.phase, total=self.total)
-        return self
-
-    def finish(self) -> None:
-        """Deactivate the task, emitting its final state."""
-        if self._finished:
-            return
-        self._finished = True
-        self.emit(force=True, final=True)
-        if self in _TASKS:
-            _TASKS.remove(self)
-        flight_record(
-            "progress.end",
-            phase=self.phase,
-            done=self.done,
-            total=self.total,
-            seconds=round(self.elapsed, 6),
-        )
-        outer = current_task()
-        if outer is not None:
-            outer._set_gauges()
+def _observe_phase(event: str, span: Span, root: bool) -> None:
+    """Span listener: track open phases and report each open and close."""
+    global _PHASES
+    if "total" not in span.attributes:
+        return
+    with _PHASES_LOCK:
+        if event == "start":
+            _PHASES = _PHASES + (span,)
         else:
-            self._reg.info("build.phase").set("")
-        if _MODE == "tty" and self._emitted:
-            sys.stderr.write("\n")
-            sys.stderr.flush()
+            _PHASES = tuple(p for p in _PHASES if p is not span)
+        outer = _PHASES
+    reg = registry()
+    _report(span, reg, final=event == "end")
+    if event == "end":
+        if outer:
+            _report(outer[-1], reg, write=False)  # restore the outer gauges
+        else:
+            reg.info("build.phase").set("")
 
-    def __enter__(self) -> "ProgressTask":
-        return self.start()
 
-    def __exit__(self, *exc: object) -> bool:
-        self.finish()
-        return False
+def _report(
+    span: Span, reg: MetricsRegistry, *, final: bool = False, write: bool = True
+) -> dict:
+    """Publish one phase's progress to the gauges and (opt-in) stderr.
 
-    # -- progress -----------------------------------------------------------
-
-    def advance(self, n: int = 1) -> None:
-        """Record ``n`` completed items; emits at most every few hundred ms."""
-        self.done += n
-        self._since_check += n
-        if self._since_check < self._stride:
-            return
-        self._since_check = 0
-        now = time.monotonic()
-        if now - self._last_emit >= self.min_interval:
-            self.emit(now=now)
-        elif self._stride < (1 << 16):
-            # Ticks are arriving faster than the emit cadence: widen the
-            # stride so the monotonic clock is read rarely.
-            self._stride *= 2
-
-    @property
-    def elapsed(self) -> float:
-        """Seconds since the task started."""
-        return time.monotonic() - self._started
-
-    def rate(self) -> float:
-        """Items per second since the task started (0.0 before any work)."""
-        elapsed = self.elapsed
-        if elapsed <= 0 or self.done == 0:
-            return 0.0
-        return self.done / elapsed
-
-    def eta_seconds(self) -> float | None:
-        """Estimated seconds to completion; None without a total or rate."""
-        if self.total is None or self.done == 0:
-            return None
-        remaining = max(self.total - self.done, 0)
-        rate = self.rate()
-        if rate <= 0:
-            return None
-        return remaining / rate
-
-    # -- emission -----------------------------------------------------------
-
-    def _set_gauges(self) -> None:
-        reg = self._reg
-        reg.info("build.phase").set(self.phase)
-        reg.gauge("build.items_done").set(self.done)
-        reg.gauge("build.items_total").set(self.total if self.total else 0)
-        reg.gauge("build.rate_per_s").set(round(self.rate(), 3))
-
-    def emit(
-        self,
-        now: float | None = None,
-        *,
-        force: bool = False,
-        final: bool = False,
-    ) -> None:
-        """Publish the current state to gauges, the flight ring, and stderr."""
-        now = now if now is not None else time.monotonic()
-        self._last_emit = now
-        if self is current_task() or final:
-            self._set_gauges()
-        rate = self.rate()
-        eta = self.eta_seconds()
-        flight_record(
-            "progress",
-            phase=self.phase,
-            done=self.done,
-            total=self.total,
-            rate_per_s=round(rate, 3),
-            **({"eta_s": round(eta, 3)} if eta is not None else {}),
-        )
-        if rate > 0:
-            # Aim for ~4 clock checks per emit interval at the current rate.
-            self._stride = max(1, int(rate * self.min_interval / 4))
-        if _MODE == "off":
-            return
-        self._emitted = True
+    Returns the phase, items done and total for a heartbeat sample.
+    """
+    done = int(span.counters.get("items", 0))
+    total = span.attributes["total"]
+    end_ns = span.end_ns if span.end_ns is not None else time.perf_counter_ns()
+    elapsed = (end_ns - span.start_ns) / 1e9
+    rate = done / elapsed if done and elapsed > 0 else 0.0
+    eta = max(total - done, 0) / rate if total is not None and rate > 0 else None
+    reg.info("build.phase").set(span.name)
+    reg.gauge("build.items_done").set(done)
+    reg.gauge("build.items_total").set(total if total else 0)
+    reg.gauge("build.rate_per_s").set(round(rate, 3))
+    if write and _MODE != "off":
         if _MODE == "json":
             payload = {
                 "event": "progress",
-                "phase": self.phase,
-                "done": self.done,
-                "total": self.total,
+                "phase": span.name,
+                "done": done,
+                "total": total,
                 "rate_per_s": round(rate, 3),
             }
             if eta is not None:
@@ -273,19 +147,17 @@ class ProgressTask:
                 payload["final"] = True
             sys.stderr.write(json.dumps(payload) + "\n")
         else:
-            parts = [f"[{self.phase}]"]
-            if self.total:
-                pct = 100.0 * self.done / self.total
-                parts.append(f"{self.done}/{self.total} ({pct:.1f}%)")
+            parts = [f"[{span.name}]"]
+            if total:
+                parts.append(f"{done}/{total} ({100.0 * done / total:.1f}%)")
             else:
-                parts.append(str(self.done))
+                parts.append(str(done))
             parts.append(f"{rate:.1f}/s")
             if eta is not None:
                 parts.append(f"eta {eta:.1f}s")
-            sys.stderr.write("\r\x1b[K" + " ".join(parts))
-            if final:
-                pass  # finish() writes the newline once
+            sys.stderr.write("\r\x1b[K" + " ".join(parts) + ("\n" if final else ""))
         sys.stderr.flush()
+    return {"phase": span.name, "done": done, "total": total}
 
 
 # -- resource sampling ------------------------------------------------------
@@ -330,7 +202,8 @@ class Heartbeat:
     ``process.cpu_seconds``, ``process.open_spans``, and
     ``build.comparisons_per_s`` gauges, bumps the ``process.heartbeats``
     counter, and records a ``heartbeat`` flight event carrying the same
-    sample plus the innermost task's phase and counts.  Every
+    sample plus the innermost open phase's name and counts (whose gauges
+    and progress line it also refreshes).  Every
     ``snapshot_every`` beats it also records a full counter/gauge snapshot
     so a crash dump carries recent absolute metric values.
     """
@@ -424,11 +297,9 @@ class Heartbeat:
             "open_spans": depth,
             "comparisons_per_s": round(comp_rate, 3),
         }
-        task = current_task()
-        if task is not None:
-            sample["phase"] = task.phase
-            sample["done"] = task.done
-            sample["total"] = task.total
+        phases = _PHASES
+        if phases:
+            sample.update(_report(phases[-1], reg))
         flight_record("heartbeat", **sample)
         if self._beats % self.snapshot_every == 0:
             snapshot = reg.snapshot()
@@ -456,6 +327,7 @@ def start_heartbeat(interval: float = 1.0, **kwargs) -> Heartbeat:
     if _HEARTBEAT is not None:
         return _HEARTBEAT
     _HEARTBEAT = Heartbeat(interval, **kwargs).start()
+    _sync_listener()
     if not _ATEXIT_REGISTERED:
         atexit.register(stop_heartbeat)
         _ATEXIT_REGISTERED = True
@@ -468,8 +340,4 @@ def stop_heartbeat() -> None:
     if _HEARTBEAT is not None:
         _HEARTBEAT.close()
         _HEARTBEAT = None
-
-
-def active_heartbeat() -> Heartbeat | None:
-    """The running process-wide heartbeat, if any."""
-    return _HEARTBEAT
+        _sync_listener()

@@ -50,6 +50,7 @@ __all__ = [
     "add_span_listener",
     "remove_span_listener",
     "open_span_depth",
+    "tick",
 ]
 
 
@@ -300,6 +301,17 @@ def current_tracer() -> Tracer | None:
     if active is not None:
         return active
     return _GLOBAL
+
+
+def tick(n: int = 1) -> None:
+    """Add ``n`` to the ``items`` counter of the innermost open span.
+
+    What instrumented loops call to advance their phase; a no-op when no
+    tracer is active.
+    """
+    tracer = current_tracer()
+    if tracer is not None and tracer._stack:
+        tracer._stack[-1].count("items", n)
 
 
 def tracing_enabled() -> bool:

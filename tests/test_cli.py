@@ -125,6 +125,21 @@ class TestDocumentedFlags:
         assert checked > 100
 
 
+def _run_repro(argv, cwd):
+    """``python -m repro *argv`` in ``cwd``; flight dumps would land there."""
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_FLIGHT_DIR"}
+    env["PYTHONPATH"] = str(_REPO / "src")
+    env["REPRO_HEARTBEAT"] = "off"
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=cwd,
+        env=env,
+    )
+
+
 class TestInputErrors:
     """An unreadable dataset or cube is one ``error:`` line and exit 2."""
 
@@ -155,17 +170,7 @@ class TestInputErrors:
     def test_exit_2_without_traceback_or_dump(
         self, inputs, tmp_path, argv, message
     ):
-        env = {k: v for k, v in os.environ.items() if k != "REPRO_FLIGHT_DIR"}
-        env["PYTHONPATH"] = str(_REPO / "src")
-        env["REPRO_HEARTBEAT"] = "off"
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", *(inputs.get(a, a) for a in argv)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            cwd=tmp_path,
-            env=env,
-        )
+        proc = _run_repro([inputs.get(a, a) for a in argv], tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ")
         assert message in proc.stderr
@@ -193,6 +198,34 @@ class TestInputErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestArgumentErrors:
+    """A bad argument value is one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "nope"],
+            ["bench", "fig8", "--scale", "huge"],
+            ["generate", "--distribution", "bogus", "--out", "x.csv"],
+            ["generate", "--n", "-5", "--out", "x.csv"],
+            ["skyline", "--input", "d.csv", "--subspace", "ZZ"],
+        ],
+        ids=["bench-figure", "bench-scale", "generate-distribution",
+             "generate-n", "skyline-subspace"],
+    )
+    def test_exit_2_without_traceback_or_dump(self, tmp_path, argv):
+        from repro.data import make_dataset, save_csv
+
+        save_csv(make_dataset("independent", 20, 3, seed=1), tmp_path / "d.csv")
+        proc = _run_repro(argv, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("flight-*.ndjson"))
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestGenerate:
@@ -399,6 +432,8 @@ class TestBench:
         assert "Figure 10" in out
         assert (tmp_path / "figure_10.txt").exists()
 
-    def test_bench_unknown_figure(self):
-        with pytest.raises(ValueError, match="unknown figure"):
+    def test_bench_unknown_figure(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["bench", "fig99", "--scale", "smoke"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'fig99'" in capsys.readouterr().err

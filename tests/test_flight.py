@@ -19,9 +19,7 @@ from repro.core.stellar import stellar
 from repro.data import make_dataset
 from repro.obs import (
     MetricsRegistry,
-    ProgressTask,
     configure_progress,
-    current_task,
     disable_flight,
     dump_flight,
     enable_flight,
@@ -35,11 +33,11 @@ from repro.obs import (
     start_heartbeat,
     stop_heartbeat,
     summarize_flight_dump,
-    tick,
     uninstall_crash_hooks,
 )
 from repro.obs.flight import FlightRecorder
 from repro.obs.progress import Heartbeat, cpu_seconds, rss_bytes
+from repro.obs.tracing import Tracer, tick
 from repro.serve import CubeService, SnapshotStore, start_server
 
 
@@ -106,11 +104,11 @@ class TestFlightRecorder:
 
     def test_summarize_names_kinds_and_tail(self, tmp_path):
         recorder = FlightRecorder()
-        recorder.record("progress", phase="seed_decisive", done=3, total=9)
+        recorder.record("heartbeat", phase="seed_decisive", done=3, total=9)
         path = recorder.dump(tmp_path / "f.ndjson", reason="test")
         text = summarize_flight_dump(path, tail=5)
         assert "reason=test" in text
-        assert "progress=1" in text
+        assert "heartbeat=1" in text
         assert "seed_decisive" in text
 
     def test_unserialisable_values_fall_back_to_repr(self, tmp_path):
@@ -143,13 +141,15 @@ class TestGlobalRecorder:
         dataset = make_dataset("independent", 60, 3, seed=7)
         stellar(dataset)
         kinds = {e["kind"] for e in flight.events()}
-        assert {"span.start", "span.end", "progress.start", "progress.end",
-                "skyline.compute"} <= kinds
-        phases = {
-            e["phase"] for e in flight.events() if e["kind"] == "progress.start"
+        assert {"span.start", "span.end", "skyline.compute"} <= kinds
+        ends = {
+            e["name"]: e for e in flight.events() if e["kind"] == "span.end"
         }
         assert {"full_space_skyline", "maximal_cgroups", "seed_decisive",
-                "nonseed_extension"} <= phases
+                "nonseed_extension"} <= set(ends)
+        # A phase's progress rides on its span: the closing event carries
+        # the items it ticked through.
+        assert ends["full_space_skyline"]["counters"]["items"] == 60
 
     def test_repro_log_records_are_mirrored(self, flight):
         from repro.obs import get_logger
@@ -163,70 +163,91 @@ class TestGlobalRecorder:
 # -- progress ---------------------------------------------------------------
 
 
+def _phase(name: str, total: int | None):
+    """A phase span (one opened with ``total``) on a fresh tracer."""
+    return Tracer().span(name, total=total)
+
+
+def _json_lines(err: str) -> list[dict]:
+    return [json.loads(line) for line in err.splitlines() if line]
+
+
 class TestProgressTask:
+    """A unit of progress is a phase span: ``tick`` feeds its ``items``
+    counter, and the progress listener reports it while it is open."""
+
     def test_context_manager_maintains_ambient_stack(self, clean_telemetry):
-        assert current_task() is None
-        with ProgressTask("outer", total=10) as outer:
-            assert current_task() is outer
-            with ProgressTask("inner") as inner:
-                assert current_task() is inner
+        tick(3)  # no tracer: a no-op
+        with _phase("outer", 10) as outer:
+            with Tracer().span("inner", total=None) as inner:
                 tick(3)
-                assert inner.done == 3
-                assert outer.done == 0
-            assert current_task() is outer
-        assert current_task() is None
+            tick()
+        assert inner.counters == {"items": 3}
+        assert outer.counters == {"items": 1}
 
     def test_gauges_follow_the_active_task(self, clean_telemetry):
-        reg = MetricsRegistry()
-        with ProgressTask("phase_a", total=4, reg=reg) as task:
-            task.advance(2)
-            task.emit(force=True)
+        reg = registry()
+        hb = start_heartbeat(interval=60)
+        with _phase("phase_a", 4):
+            tick(2)
+            hb.sample()
             assert reg.info("build.phase").value == "phase_a"
             assert reg.gauge("build.items_done").value == 2
             assert reg.gauge("build.items_total").value == 4
         assert reg.info("build.phase").value == ""
 
     def test_nested_finish_restores_outer_gauges(self, clean_telemetry):
-        reg = MetricsRegistry()
-        with ProgressTask("outer", total=10, reg=reg):
-            with ProgressTask("inner", total=2, reg=reg) as inner:
-                inner.advance(2)
+        reg = registry()
+        start_heartbeat(interval=60)
+        with _phase("outer", 10):
+            with _phase("inner", 2):
+                tick(2)
+                assert reg.info("build.phase").value == "inner"
             assert reg.info("build.phase").value == "outer"
+            assert reg.gauge("build.items_total").value == 10
+        assert reg.info("build.phase").value == ""
 
-    def test_rate_and_eta(self, clean_telemetry):
-        task = ProgressTask("phase", total=100)
-        task.start()
-        try:
-            task.done = 50
-            task._started = time.monotonic() - 2.0
-            assert task.rate() == pytest.approx(25.0, rel=0.1)
-            assert task.eta_seconds() == pytest.approx(2.0, rel=0.1)
-        finally:
-            task.finish()
+    def test_rate_and_eta(self, clean_telemetry, capsys):
+        configure_progress("json")
+        with _phase("phase", 100) as sp:
+            tick(50)
+            sp.start_ns -= 2_000_000_000
+            Heartbeat(interval=60).sample()
+        line = _json_lines(capsys.readouterr().err)[1]
+        assert line["rate_per_s"] == pytest.approx(25.0, rel=0.1)
+        assert line["eta_s"] == pytest.approx(2.0, rel=0.1)
 
-    def test_eta_none_without_total_or_work(self, clean_telemetry):
-        untotalled = ProgressTask("a")
-        assert untotalled.eta_seconds() is None
-        fresh = ProgressTask("b", total=5)
-        assert fresh.eta_seconds() is None
+    def test_eta_none_without_total_or_work(self, clean_telemetry, capsys):
+        configure_progress("json")
+        with _phase("a", None):
+            tick(5)
+        with _phase("b", 5):
+            pass
+        lines = _json_lines(capsys.readouterr().err)
+        assert [line["phase"] for line in lines] == ["a", "a", "b", "b"]
+        assert not any("eta_s" in line for line in lines)
 
     def test_json_mode_emits_parseable_lines(self, clean_telemetry, capsys):
         configure_progress("json")
-        with ProgressTask("phase_j", total=2) as task:
-            task.advance(2)
-            task.emit(force=True)
-        err = capsys.readouterr().err
-        payloads = [json.loads(line) for line in err.splitlines() if line]
-        assert any(
+        with _phase("phase_j", 2):
+            tick(2)
+            Heartbeat(interval=60).sample()
+        payloads = _json_lines(capsys.readouterr().err)
+        assert len(payloads) == 3  # open, heartbeat refresh, close
+        assert all(
             p["event"] == "progress" and p["phase"] == "phase_j"
             for p in payloads
         )
+        assert payloads[-1]["done"] == 2
         assert payloads[-1].get("final") is True
 
     def test_off_mode_writes_nothing(self, clean_telemetry, capsys):
         configure_progress("off")
-        with ProgressTask("quiet", total=3) as task:
-            task.advance(3)
+        start_heartbeat(interval=60).sample()
+        with _phase("quiet", 3) as sp:
+            tick(3)
+        stellar(make_dataset("independent", 40, 3, seed=7))
+        assert sp.counters["items"] == 3
         assert capsys.readouterr().err == ""
 
     def test_configure_progress_rejects_unknown_mode(self):
@@ -234,30 +255,68 @@ class TestProgressTask:
             configure_progress("loud")
 
     def test_progress_events_reach_flight_ring(self, flight, clean_telemetry):
-        with ProgressTask("ringed", total=5) as task:
-            task.advance(5)
-        events = [e for e in flight.events() if e["kind"] == "progress.end"]
-        assert events and events[-1]["phase"] == "ringed"
-        assert events[-1]["done"] == 5
+        hb = start_heartbeat(interval=60)
+        with _phase("ringed", 5):
+            tick(5)
+            hb.sample()
+        beat = [e for e in flight.events() if e["kind"] == "heartbeat"][-1]
+        assert (beat["phase"], beat["done"], beat["total"]) == ("ringed", 5, 5)
+        end = [e for e in flight.events() if e["kind"] == "span.end"][-1]
+        assert end["name"] == "ringed"
+        assert end["counters"] == {"items": 5}
+
+    def test_no_listener_without_heartbeat_or_progress(self, tmp_path):
+        # A fresh process with no heartbeat and progress off: a served
+        # query runs with no span listener at all.
+        script = _NO_LISTENER_CHILD.format(
+            src=str(Path(__file__).resolve().parents[1] / "src"),
+            tmp=str(tmp_path),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "()"
+
+
+_NO_LISTENER_CHILD = """\
+import sys
+sys.path.insert(0, {src!r})
+from pathlib import Path
+from repro.data import make_dataset, save_csv
+from repro.obs import tracing
+from repro.serve import CubeService, SnapshotStore
+csv = Path({tmp!r}) / "d.csv"
+save_csv(make_dataset("independent", 40, 3, seed=1), csv)
+service = CubeService(SnapshotStore(Path({tmp!r}) / "snaps"), default_snapshot=None)
+service.publish_csv("demo", csv.read_text())
+service.query("skyline", {{"subspace": "A,B"}}, snapshot="demo")
+print(tracing._LISTENERS)
+"""
 
 
 class TestStellarStageProgress:
-    """Stellar's per-c-group and per-group stages report one progress
-    item per c-group / seed group, ending with ``done == total``."""
+    """Stellar's root span has the four phases as children, once each, and
+    the per-c-group and per-group stages tick one item per c-group / seed
+    group."""
 
-    def test_serial_path_fires_per_item(self, flight, clean_telemetry):
+    def test_serial_path_fires_per_item(self, clean_telemetry):
         result = stellar(make_dataset("independent", 120, 4, seed=7))
-        ends = {
-            e["phase"]: e
-            for e in flight.events()
-            if e["kind"] == "progress.end"
-        }
-        seed_end = ends["seed_decisive"]
-        assert seed_end["total"] == result.stats.n_maximal_cgroups
-        assert seed_end["done"] == seed_end["total"]
-        ext_end = ends["nonseed_extension"]
-        assert ext_end["total"] == result.stats.n_seed_groups
-        assert ext_end["done"] == ext_end["total"]
+        phases = {sp.name: sp for sp in result.stats.root_span.children}
+        assert [sp.name for sp in result.stats.root_span.children] == [
+            "full_space_skyline", "maximal_cgroups", "seed_decisive",
+            "nonseed_extension",
+        ]
+        stats = result.stats
+        assert stats.n_maximal_cgroups > 0 and stats.n_seed_groups > 0
+        seed, ext = phases["seed_decisive"], phases["nonseed_extension"]
+        assert seed.attributes["total"] == stats.n_maximal_cgroups
+        assert seed.counters["items"] == stats.n_maximal_cgroups
+        assert ext.attributes["total"] == stats.n_seed_groups
+        assert ext.counters["items"] == stats.n_seed_groups
 
 
 # -- heartbeat --------------------------------------------------------------
@@ -277,8 +336,9 @@ class TestHeartbeat:
     def test_sample_reports_active_task(self, clean_telemetry):
         reg = MetricsRegistry()
         hb = Heartbeat(interval=60, reg=reg)
-        with ProgressTask("beating", total=7) as task:
-            task.advance(3)
+        start_heartbeat(interval=60)
+        with _phase("beating", 7):
+            tick(3)
             sample = hb.sample()
         assert sample["phase"] == "beating"
         assert sample["done"] == 3
@@ -341,12 +401,11 @@ class TestMidBuildScrape:
         self, clean_telemetry, tmp_path
     ):
         reset_metrics()
-        hb = Heartbeat(interval=60)
+        hb = start_heartbeat(interval=60)
         service = CubeService(SnapshotStore(tmp_path / "snaps"))
         with start_server(service) as server:
-            with ProgressTask("nonseed_extension", total=40) as task:
-                task.advance(25)
-                task.emit(force=True)
+            with _phase("nonseed_extension", 40):
+                tick(25)
                 hb.sample()
                 with urlopen(f"{server.url}/metrics", timeout=5) as response:
                     body = response.read().decode()
@@ -381,10 +440,10 @@ class TestMidBuildScrape:
             ]
             for t in threads:
                 t.start()
-            hb = Heartbeat(interval=60)
-            with ProgressTask("stress", total=5000) as task:
+            hb = start_heartbeat(interval=60)
+            with _phase("stress", 5000):
                 for _ in range(5000):
-                    task.advance(1)
+                    tick()
                     registry().counter("stress.ops").inc()
                 hb.sample()
             stop.set()
@@ -404,14 +463,14 @@ _CHILD_PREAMBLE = """\
 import os, sys
 sys.path.insert(0, {src!r})
 from repro.obs import enable_flight, install_crash_hooks, start_heartbeat
-from repro.obs.progress import ProgressTask
+from repro.obs.tracing import Tracer, tick
 enable_flight()
 install_crash_hooks(path={dump!r})
-start_heartbeat(interval=0.05)
-task = ProgressTask("seed_decisive", total=100)
-task.start()
-task.advance(42)
-task.emit(force=True)
+heartbeat = start_heartbeat(interval=0.05)
+phase = Tracer().span("seed_decisive", total=100)
+phase.__enter__()
+tick(42)
+heartbeat.sample()
 """
 
 
@@ -442,10 +501,10 @@ class TestSignalDump:
         assert events[0]["kind"] == "flight.header"
         assert events[0]["reason"] == "signal"
         # The tail of the recording identifies the active phase and counts.
-        progress = [e for e in events if e["kind"] == "progress"]
-        assert progress[-1]["phase"] == "seed_decisive"
-        assert progress[-1]["done"] == 42
-        assert progress[-1]["total"] == 100
+        beats = [e for e in events if e["kind"] == "heartbeat" and "phase" in e]
+        assert beats[-1]["phase"] == "seed_decisive"
+        assert beats[-1]["done"] == 42
+        assert beats[-1]["total"] == 100
         assert events[-1]["kind"] == "signal"
         assert f"flight record written to {dump}" in proc.stderr
 
@@ -474,11 +533,11 @@ class TestCrashAndExitDumps:
         crash = [e for e in events if e["kind"] == "crash"]
         assert crash and crash[-1]["exc_type"] == "RuntimeError"
         assert "injected mid-build failure" in crash[-1]["exc"]
-        progress = [e for e in events if e["kind"] == "progress"]
-        assert progress[-1]["phase"] == "seed_decisive"
+        beats = [e for e in events if e["kind"] == "heartbeat" and "phase" in e]
+        assert beats[-1]["phase"] == "seed_decisive"
 
     def test_clean_exit_leaves_no_file_and_no_output(self, tmp_path):
-        proc, dump = _child(tmp_path, "task.finish()\n")
+        proc, dump = _child(tmp_path, "phase.__exit__(None, None, None)\n")
         assert proc.returncode == 0
         assert not dump.exists()
         assert proc.stderr == ""
@@ -486,7 +545,7 @@ class TestCrashAndExitDumps:
     def test_dump_at_exit_writes_on_success(self, tmp_path):
         body = (
             "install_crash_hooks(path={dump!r}, dump_at_exit=True)\n"
-            "task.finish()\n"
+            "phase.__exit__(None, None, None)\n"
         ).format(dump=str(tmp_path / "flight.ndjson"))
         proc, dump = _child(tmp_path, body)
         assert proc.returncode == 0
@@ -550,8 +609,9 @@ class TestCliFlight:
             for line in proc.stderr.splitlines()
             if line.startswith("{")
         ]
-        phases = {p["phase"] for p in payloads if p.get("event") == "progress"}
-        assert "nonseed_extension" in phases
+        finals = [p["phase"] for p in payloads if p.get("final")]
+        assert finals == ["full_space_skyline", "maximal_cgroups",
+                          "seed_decisive", "nonseed_extension"]
 
     def test_flight_dump_and_show_subcommands(self, tmp_path):
         out = tmp_path / "manual.ndjson"
