@@ -37,6 +37,7 @@ __all__ = [
     "absorb_supersets",
     "closed_masks",
     "distinct_masks",
+    "sorted_distinct",
     "mask_of_dims",
     "format_mask",
     "parse_mask",
@@ -183,31 +184,40 @@ def closed_masks(masks: Iterable[int]) -> set[int]:
 
     Returns every non-empty intersection of a non-empty subfamily.  Adding
     one mask ``m`` to a family with closure ``C`` adds exactly ``m`` and
-    ``m & c`` for ``c`` in ``C``, so one pass over the family suffices.
+    ``m & c`` for ``c`` in ``C``, so one pass over the family suffices; a
+    mask already in ``C`` adds nothing.  Taking the widest masks first puts
+    the narrower ones in ``C`` before their turn.
     """
     closure: set[int] = set()
-    for m in set(masks):
+    for m in sorted(set(masks), key=popcount, reverse=True):
+        if m in closure:
+            continue
         closure |= {m & c for c in closure}
         closure.add(m)
     closure.discard(0)
     return closure
 
 
-def distinct_masks(arr: np.ndarray) -> list[int]:
-    """Sorted distinct values of a packed mask vector, as Python ints.
+def sorted_distinct(arr: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a vector, as a numpy vector.
 
     Works for ``int64`` vectors and for the ``object`` vectors that carry
     masks beyond 62 dimensions.  Sorting and testing neighbours for
-    inequality is several times faster than ``np.unique``'s hash path on
-    the short vectors Stellar de-duplicates.
+    inequality is several times faster than ``np.unique``, which takes a
+    hash path on numpy 2.4.
     """
     values = np.sort(arr)
     if values.size == 0:
-        return []
+        return values
     keep = np.empty(values.size, dtype=bool)
     keep[0] = True
     keep[1:] = values[1:] != values[:-1]
-    return values[keep].tolist()
+    return values[keep]
+
+
+def distinct_masks(arr: np.ndarray) -> list[int]:
+    """Sorted distinct values of a packed mask vector, as Python ints."""
+    return sorted_distinct(arr).tolist()
 
 
 def mask_of_dims(dims: Iterable[int]) -> int:

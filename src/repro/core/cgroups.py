@@ -28,17 +28,21 @@ seed would be the group's smallest member (the prune of Figure 6's line
 32).  Every maximal c-group therefore comes out exactly once, from the root
 that is its smallest member, and no duplicate suppression table is needed.
 
-The closure reads the same coincidence rows as Figure 6's tree search, one
-:meth:`~repro.core.dominance.PairwiseMatrices.eq_row_array` per root, so the
-phase's comparison count is the tree's.
+Only the non-zero cells ``co[u, o]`` take part, so the search reads them
+from an equality join over the seeds' sorted columns
+(:meth:`~repro.core.dominance.PairwiseMatrices.coincidences`), the way FD
+mining builds agree sets from stripped partitions; a zero cell is never
+touched.  The phase counts one comparison per ordered pair ``u ≠ o`` with
+a non-zero cell, not the ``k²`` cells of a row per root.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.dominance import PairwiseMatrices
-from .bitset import closed_masks, distinct_masks
+from ..obs.tracing import tick
+from .bitset import closed_masks
+from .dominance import PairwiseMatrices
 
 __all__ = ["enumerate_maximal_cgroups"]
 
@@ -51,7 +55,8 @@ def enumerate_maximal_cgroups(
     Parameters
     ----------
     matrices:
-        Pairwise matrices over the seeds; coincidence rows drive the search.
+        Pairwise matrices over the seeds; their non-zero coincidence cells
+        drive the search.
 
     Returns
     -------
@@ -61,20 +66,32 @@ def enumerate_maximal_cgroups(
     list is ordered by smallest member, then by decreasing subspace
     bitmask, so a root's full-space group (if it has one) comes first.
     """
-    k = len(matrices)
     full = matrices.full_space
-    if full == 0 or k == 0:
+    if full == 0 or len(matrices) == 0:
         return []
     out: list[tuple[tuple[int, ...], int]] = []
-    for u in range(k):
-        row = matrices.eq_row_array(u)
-        subspaces = closed_masks(distinct_masks(row[u + 1 :]))
-        subspaces.add(full)
-        for subspace in sorted(subspaces, reverse=True):
-            covers = (row & subspace) == subspace
-            if covers[:u].any():
-                # An earlier seed coincides with u on all of B: the group
-                # is emitted from that seed's root instead.
-                continue
-            out.append((tuple(np.flatnonzero(covers).tolist()), subspace))
+    for start, stop, roots, others, cells in matrices.coincidences():
+        # Each root's cells are one run sorted by the other seed: the
+        # earlier seeds' cells, then the later seeds'.
+        n_roots = stop - start
+        counts = np.bincount(roots - start, minlength=n_roots)
+        earlier = np.bincount(roots[others < roots] - start, minlength=n_roots)
+        ends = np.cumsum(counts)
+        splits = ends - counts + earlier
+        lo = 0
+        for u, split, hi in zip(range(start, stop), splits.tolist(), ends.tolist()):
+            tick()
+            cell_run, n_earlier = cells[lo:hi], split - lo
+            later_seeds = others[split:hi]
+            lo = hi
+            subspaces = closed_masks(cell_run[n_earlier:].tolist())
+            subspaces.add(full)
+            # One row per candidate B: which of u's cells cover it.
+            masks = np.array(sorted(subspaces, reverse=True), dtype=cells.dtype)
+            covers = (cell_run & masks[:, None]) == masks[:, None]
+            # An earlier seed coinciding with u on all of B is the group's
+            # smallest member: the group is emitted from that root instead.
+            kept = ~covers[:, :n_earlier].any(axis=1)
+            for subspace, row in zip(masks[kept].tolist(), covers[kept, n_earlier:]):
+                out.append(((u, *later_seeds[row].tolist()), subspace))
     return out

@@ -7,29 +7,36 @@ For seed objects :math:`o, o'` the paper defines (Definition 4):
 
 and notes (Property 1) that the coincidence matrix is redundant:
 ``co[o, o'] = D - dom[o, o'] - dom[o', o]``.  Neither matrix is stored
-here: a coincidence row is one direct equality comparison, as cheap as the
-two dominance rows the derivation would need.
+here.
 
-Cells are dimension bitmasks (see :mod:`repro.core.bitset`).  A row is one
-vectorised numpy comparison per call, which keeps Stellar's "scan a row of
-the dominance matrix" step cheap with thousands of seeds.  Rows are not
-kept: each phase scans the row of one root at a time and computes it once,
-so no ``k × k`` matrix is ever held.
+Cells are dimension bitmasks (see :mod:`repro.core.bitset`).  A dominance
+row is one vectorised numpy comparison per call, which keeps Stellar's
+"scan a row of the dominance matrix" step cheap with thousands of seeds.
+Rows are not kept: each phase scans the row of one root at a time and
+computes it once, so no ``k × k`` matrix is ever held.
+
+The coincidence matrix is almost all zeros on real data, so it is never
+read by rows: :func:`tie_pairs` is an equality join that finds the pairs
+tying on some dimension from each column's sorted tie runs, and
+:meth:`PairwiseMatrices.coincidences` packs only those non-zero cells.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from .bitset import full_mask
+from .bitset import full_mask, sorted_distinct
 from .types import Dataset
 
 __all__ = [
     "dominates",
     "strictly_less_mask",
     "equal_mask",
+    "bit_weights",
+    "pack_rows",
+    "tie_pairs",
     "PairwiseMatrices",
     "ComparisonCounter",
     "COMPARISONS",
@@ -115,6 +122,98 @@ def _pack(flags: np.ndarray) -> int:
     return mask
 
 
+def bit_weights(n_dims: int) -> np.ndarray:
+    """Bit weights that :func:`pack_rows` multiplies boolean rows by.
+
+    Up to 24 dimensions they are float32: the product then runs as one BLAS
+    matrix-vector call, and it is exact because every mask is an integer
+    below ``2^24``.  Up to 62 dimensions they are int64 (numpy's own integer
+    loop, no BLAS); beyond that, object dtype so Python big ints take over.
+    """
+    if n_dims <= 24:
+        return (2.0 ** np.arange(n_dims)).astype(np.float32)
+    if n_dims <= 62:
+        return 1 << np.arange(n_dims, dtype=np.int64)
+    return np.array([1 << d for d in range(n_dims)], dtype=object)
+
+
+def pack_rows(flags: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Pack each row of a boolean ``(n, d)`` matrix into a dimension bitmask.
+
+    ``weights`` come from :func:`bit_weights`; the masks are int64, or
+    object (Python ints) beyond 62 dimensions.
+    """
+    packed = flags.astype(weights.dtype) @ weights
+    if weights.dtype == np.float32:
+        return packed.astype(np.int64)
+    return packed
+
+
+#: Most (rep, row, dimension) ties one block of :func:`tie_pairs`
+#: materialises; bounds its pairwise temporaries.
+_PAIR_BUDGET = 1 << 18
+
+
+def tie_pairs(
+    reps: np.ndarray, matrix: np.ndarray, on_dims: np.ndarray | None = None
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Equality join: the ``(rep, row)`` pairs that tie on some dimension.
+
+    Each column of ``matrix`` is sorted once, and ``searchsorted`` finds
+    every rep's tie run in it, so a pair equal on no dimension is never
+    touched.  ``on_dims[g, k]`` False leaves dimension ``k`` out for rep
+    ``g`` (default: every dimension counts).
+
+    Yields ``(start, stop, g, j)`` for consecutive blocks of reps
+    ``[start, stop)``, every block including those with no pair: ``g`` are
+    rep positions and ``j`` row positions of ``matrix``, unique pairs sorted
+    by ``(g, j)``.  A block's tie runs sum to at most :data:`_PAIR_BUDGET`,
+    or cover a single rep whose runs alone exceed it, so memory stays
+    bounded per block however tie-heavy the data is.
+    """
+    n, d = reps.shape
+    m = matrix.shape[0]
+    # Per dimension: the sorted order of the column, and each rep's tie
+    # run in it (its start and length; length 0 off the rep's dimensions).
+    orders, run_starts, run_lens = [], [], []
+    for k in range(d):
+        order = np.argsort(matrix[:, k])
+        column = matrix[order, k]
+        lo = np.searchsorted(column, reps[:, k], side="left")
+        hi = np.searchsorted(column, reps[:, k], side="right")
+        if on_dims is not None:
+            hi = np.where(on_dims[:, k], hi, lo)
+        orders.append(order)
+        run_starts.append(lo)
+        run_lens.append(hi - lo)
+    pair_ends = np.cumsum(sum(run_lens, np.zeros(n, dtype=np.int64)))
+    start = 0
+    while start < n:
+        spent = int(pair_ends[start - 1]) if start else 0
+        stop = max(
+            start + 1,
+            int(np.searchsorted(pair_ends, spent + _PAIR_BUDGET, side="right")),
+        )
+        groups, rows = [], []
+        for k in range(d):
+            lens = run_lens[k][start:stop]
+            total = int(lens.sum())
+            if total == 0:
+                continue
+            offsets = np.arange(total) + np.repeat(
+                run_starts[k][start:stop] - (np.cumsum(lens) - lens), lens
+            )
+            groups.append(np.repeat(np.arange(start, stop), lens))
+            rows.append(orders[k][offsets])
+        if groups:
+            keys = np.concatenate(groups) * m + np.concatenate(rows)
+            g, j = np.divmod(sorted_distinct(keys), m)
+        else:
+            g = j = np.zeros(0, dtype=np.int64)
+        yield start, stop, g, j
+        start = stop
+
+
 class PairwiseMatrices:
     """Lazy dominance/coincidence matrices over a subset of objects.
 
@@ -126,27 +225,18 @@ class PairwiseMatrices:
         Global object indices the matrices range over (the seeds ``F(S)`` in
         Stellar).  Cells are addressed by *local* position within ``indices``.
 
-    The class vectorises one full matrix row per call: computing
-    ``dom[i, *]`` is a single ``(k, d)`` numpy comparison packed into ``k``
-    bitmask integers.  Rows are not cached; callers keep the row they scan.
+    A dominance row ``dom[i, *]`` is a single ``(k, d)`` numpy comparison
+    packed into ``k`` bitmask integers; rows are not cached, callers keep
+    the row they scan.  The coincidence matrix is read only through its
+    non-zero cells (:meth:`coincidences`).
     """
 
     def __init__(self, dataset: Dataset, indices: Sequence[int]):
         self.dataset = dataset
         self.indices: tuple[int, ...] = tuple(int(i) for i in indices)
         self._sub = dataset.minimized[list(self.indices), :]
-        self._n_dims = dataset.n_dims
-        self._full = full_mask(self._n_dims)
-        # Bit weights for packing comparison outcomes into masks.  Use
-        # object dtype beyond 62 dimensions so Python big ints take over.
-        if self._n_dims <= 62:
-            self._pow2 = (1 << np.arange(self._n_dims, dtype=np.int64)).astype(
-                np.int64
-            )
-        else:
-            self._pow2 = np.array(
-                [1 << d for d in range(self._n_dims)], dtype=object
-            )
+        self._full = full_mask(dataset.n_dims)
+        self._weights = bit_weights(dataset.n_dims)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -159,30 +249,34 @@ class PairwiseMatrices:
     def dom_row_array(self, i: int) -> np.ndarray:
         """Row ``dom[i, *]`` as a packed numpy vector (local index ``i``)."""
         COMPARISONS.add(len(self.indices))
-        return (self._sub[i] < self._sub).astype(self._pow2.dtype) @ self._pow2
-
-    def eq_row_array(self, i: int) -> np.ndarray:
-        """Row ``co[i, *]`` as a packed numpy vector (local index ``i``)."""
-        COMPARISONS.add(len(self.indices))
-        return (self._sub[i] == self._sub).astype(self._pow2.dtype) @ self._pow2
+        return pack_rows(self._sub[i] < self._sub, self._weights)
 
     def dom_row(self, i: int) -> list[int]:
         """Row ``dom[i, *]`` of the dominance matrix, as Python ints."""
         return [int(x) for x in self.dom_row_array(i)]
 
-    def eq_row(self, i: int) -> list[int]:
-        """Row ``co[i, *]`` of the coincidence matrix, as Python ints."""
-        return [int(x) for x in self.eq_row_array(i)]
-
     def dom(self, i: int, j: int) -> int:
         """Cell ``dom[i, j]``: dimensions where seed ``i`` beats seed ``j``."""
         return int(self.dom_row_array(i)[j])
 
-    def co(self, i: int, j: int) -> int:
-        """Cell ``co[i, j]``: dimensions where seeds ``i`` and ``j`` coincide."""
-        return int(self.eq_row_array(i)[j])
+    def as_dense(self) -> list[list[int]]:
+        """Materialise the dominance matrix (tests and small examples only)."""
+        return [self.dom_row(i) for i in range(len(self.indices))]
 
-    def as_dense(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Materialise both matrices (tests and small examples only)."""
-        k = len(self.indices)
-        return [self.dom_row(i) for i in range(k)], [self.eq_row(i) for i in range(k)]
+    def coincidences(
+        self,
+    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+        """The non-zero off-diagonal coincidence cells, from :func:`tie_pairs`.
+
+        Yields ``(start, stop, u, o, co)`` for consecutive blocks of roots
+        ``[start, stop)``: parallel arrays holding every pair ``u ≠ o`` with
+        ``co[u, o] ≠ 0`` and ``start ≤ u < stop``, sorted by ``(u, o)``,
+        and the packed cell of each.  A zero cell never appears, and each
+        pair counts as one comparison.
+        """
+        sub = self._sub
+        for start, stop, u, o in tie_pairs(sub, sub):
+            off_diagonal = u != o
+            u, o = u[off_diagonal], o[off_diagonal]
+            COMPARISONS.add(len(u))
+            yield start, stop, u, o, pack_rows(sub[u] == sub[o], self._weights)

@@ -51,30 +51,22 @@ import numpy as np
 
 from ..obs.tracing import tick
 from .bitset import closed_masks, is_subset
-from .dominance import PairwiseMatrices
+from .dominance import PairwiseMatrices, bit_weights, pack_rows, tie_pairs
 from .hitting import minimal_hitting_sets
 from .seeds import SeedGroup
 from .types import Dataset, SkylineGroup
 
 __all__ = ["extend_with_nonseeds", "share_and_beat_masks", "closed_masks"]
 
-#: Most candidate (group, non-seed) pairs one block of the share-map join
-#: materialises; bounds its pairwise temporaries.
-_PAIR_BUDGET = 1 << 18
-
-
 def share_and_beat_masks(
     nonseed_matrix: np.ndarray,
     rep_values: np.ndarray,
     subspace: int,
-    pow2: np.ndarray,
+    weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised ``share``/``beat`` masks of every non-seed vs one group."""
-    if nonseed_matrix.shape[0] == 0:
-        empty = np.zeros(0, dtype=pow2.dtype)
-        return empty, empty
-    share = ((nonseed_matrix == rep_values).astype(pow2.dtype) @ pow2) & subspace
-    beat = ((nonseed_matrix < rep_values).astype(pow2.dtype) @ pow2) & subspace
+    share = pack_rows(nonseed_matrix == rep_values, weights) & subspace
+    beat = pack_rows(nonseed_matrix < rep_values, weights) & subspace
     return share, beat
 
 
@@ -83,19 +75,18 @@ def _share_maps_block(
     subspaces: np.ndarray,
     ns_matrix: np.ndarray,
     ns_ids: np.ndarray,
-    pow2: np.ndarray,
+    weights: np.ndarray,
 ) -> list[dict[int, int]]:
     """Share masks of the *relevant* non-seeds for every seed group.
 
     A relevant non-seed has ``share ≠ ∅``: it equals the representative on
     at least one dimension of the group's subspace.  So the candidates come
-    from an equality join: each non-seed column is sorted once, and
-    ``searchsorted`` finds every representative's tie run on the dimensions
-    of its subspace.  Exact share/beat masks are computed only on the
-    union of those (group, non-seed) pairs, in group blocks of at most
-    :data:`_PAIR_BUDGET` candidate pairs.  On tie-free data the pairs are
-    few; on tie-heavy data the cost approaches the dense ``groups ×
-    non-seeds`` comparison, with memory still bounded per block.
+    from the equality join :func:`~repro.core.dominance.tie_pairs` over
+    the non-seed columns, restricted to each group's subspace.  Exact
+    share/beat masks are computed only on those (group, non-seed) pairs,
+    one memory-bounded block of groups at a time.  On tie-free data the
+    pairs are few; on tie-heavy data the cost approaches the dense
+    ``groups × non-seeds`` comparison.
 
     Per-group dict keys come out in ascending ``ns_ids`` order.
     """
@@ -104,52 +95,20 @@ def _share_maps_block(
     m, d = ns_matrix.shape
     if m == 0 or n_groups == 0:
         return share_maps
-    # Per dimension: the sorted order of the column, and each group's tie
-    # run in it (its start and length; length 0 off the group's subspace).
-    orders, run_starts, run_lens = [], [], []
-    for k in range(d):
-        order = np.argsort(ns_matrix[:, k])
-        column = ns_matrix[order, k]
-        lo = np.searchsorted(column, reps[:, k], side="left")
-        hi = np.searchsorted(column, reps[:, k], side="right")
-        on_subspace = ((subspaces >> k) & 1).astype(bool)
-        orders.append(order)
-        run_starts.append(lo)
-        run_lens.append(np.where(on_subspace, hi - lo, 0))
-    pair_ends = np.cumsum(np.sum(run_lens, axis=0))
-    start = 0
-    while start < n_groups:
-        spent = int(pair_ends[start - 1]) if start else 0
-        stop = max(
-            start + 1,
-            int(np.searchsorted(pair_ends, spent + _PAIR_BUDGET, side="right")),
-        )
-        groups, rows = [], []
-        for k in range(d):
-            lens = run_lens[k][start:stop]
-            total = int(lens.sum())
-            if total == 0:
-                continue
-            offsets = np.arange(total) + np.repeat(
-                run_starts[k][start:stop] - (np.cumsum(lens) - lens), lens
-            )
-            groups.append(np.repeat(np.arange(start, stop), lens))
-            rows.append(orders[k][offsets])
-        start = stop
-        if not groups:
+    on_dims = np.column_stack([((subspaces >> k) & 1).astype(bool) for k in range(d)])
+    for _, _, g, j in tie_pairs(reps, ns_matrix, on_dims):
+        if g.size == 0:
             continue
-        pairs = np.unique(np.concatenate(groups) * m + np.concatenate(rows))
-        g, j = np.divmod(pairs, m)
         candidates, values, spaces = ns_matrix[j], reps[g], subspaces[g]
-        share = ((candidates == values).astype(pow2.dtype) @ pow2) & spaces
-        beat = ((candidates < values).astype(pow2.dtype) @ pow2) & spaces
+        share = pack_rows(candidates == values, weights) & spaces
+        beat = pack_rows(candidates < values, weights) & spaces
         relevant = (share != 0) & (beat == 0)
         g = g[relevant]
         if g.size == 0:
             continue
         ids = ns_ids[j[relevant]].tolist()
         masks = share[relevant].tolist()
-        # ``pairs`` is sorted, so each group's pairs are one run in
+        # The pairs are sorted, so each group's pairs are one run in
         # ascending non-seed order.
         edges = [0, *(np.flatnonzero(np.diff(g)) + 1).tolist(), len(ids)]
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -163,7 +122,7 @@ def _batched_share_maps(
     ns_matrix: np.ndarray,
     seed_groups: list[SeedGroup],
     rep_globals: list[int],
-    pow2: np.ndarray,
+    weights: np.ndarray,
 ) -> list[dict[int, int]]:
     """Share maps for every seed group, over all non-seeds at once."""
     if not seed_groups:
@@ -171,10 +130,10 @@ def _batched_share_maps(
     reps = minimized[rep_globals, :]
     subspaces = np.array(
         [sg.subspace for sg in seed_groups],
-        dtype=pow2.dtype if pow2.dtype != object else object,
+        dtype=object if weights.dtype == object else np.int64,
     )
     ns_ids = np.asarray(nonseeds, dtype=np.int64)
-    return _share_maps_block(reps, subspaces, ns_matrix, ns_ids, pow2)
+    return _share_maps_block(reps, subspaces, ns_matrix, ns_ids, weights)
 
 
 def extend_with_nonseeds(
@@ -195,18 +154,18 @@ def extend_with_nonseeds(
     seed_set = set(matrices.indices)
     nonseeds = [i for i in range(dataset.n_objects) if i not in seed_set]
     ns_matrix = minimized[nonseeds, :] if nonseeds else minimized[:0, :]
-    n_dims = dataset.n_dims
-    if n_dims <= 62:
-        pow2 = (1 << np.arange(n_dims, dtype=np.int64)).astype(np.int64)
-    else:
-        pow2 = np.array([1 << d for d in range(n_dims)], dtype=object)
 
     results: dict[tuple[tuple[int, ...], int], SkylineGroup] = {}
     rep_globals = [
         matrices.indices[sg.representative] for sg in seed_groups
     ]
     share_maps = _batched_share_maps(
-        minimized, nonseeds, ns_matrix, seed_groups, rep_globals, pow2
+        minimized,
+        nonseeds,
+        ns_matrix,
+        seed_groups,
+        rep_globals,
+        bit_weights(dataset.n_dims),
     )
 
     for seed_group, rep_global, shares in zip(

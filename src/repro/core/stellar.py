@@ -7,7 +7,8 @@ the full space*:
 1. compute the full-space skyline ``F(S)`` (the seeds), populating the
    dominance matrix over the seeds as a byproduct;
 2. enumerate the maximal c-groups of the seeds (Figure 6) as per-root
-   closures of the coincidence masks (:mod:`repro.core.cgroups`);
+   closures of the non-zero coincidence masks, read from an equality join
+   over the seeds' columns (:mod:`repro.core.cgroups`);
 3. attach decisive subspaces via minimal hitting sets over dominance-matrix
    rows (Corollary 1, :mod:`repro.core.seeds`), dropping c-groups with an
    empty clause (step 4);
@@ -162,7 +163,7 @@ def _stellar_core(dataset: Dataset, tracer: Tracer) -> StellarResult:
         sp.count("seeds", len(seeds))
     stats.n_seeds = len(seeds)
 
-    with _phase(tracer, "maximal_cgroups", None) as sp:
+    with _phase(tracer, "maximal_cgroups", len(seeds)) as sp:
         matrices = PairwiseMatrices(dataset, seeds)
         cgroups = enumerate_maximal_cgroups(matrices)
         sp.count("maximal_cgroups", len(cgroups))

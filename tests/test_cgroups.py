@@ -2,9 +2,12 @@
 
 from itertools import combinations
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import dominance
 from repro.core.cgroups import enumerate_maximal_cgroups
 from repro.core.dominance import PairwiseMatrices
 from repro.core.types import Dataset
@@ -147,6 +150,36 @@ def test_object_dtype_matches_bruteforce(rows):
     got = enumerate_maximal_cgroups(matrices)
     assert len(set(got)) == len(got)
     assert set(got) == brute_maximal_cgroups(ds)
+
+
+def _edge_inputs():
+    rng = np.random.default_rng(24)
+    base = rng.integers(0, 4, size=(4, 3)).astype(float)
+    wide = rng.integers(0, 2, size=(8, 66)).astype(float)
+    # Dimension 64 splits the rows in two and nothing else varies above 62,
+    # so most cells need more than 62 bits.
+    wide[:, 62:] = 0.0
+    wide[:, 64] = np.arange(8) % 2
+    return {
+        "exact_duplicates": base[[0, 1, 0, 2, 1, 0, 3, 3, 2, 0]],
+        "small_domain_tie_heavy": rng.integers(0, 2, size=(12, 4)).astype(float),
+        "beyond_62_dims": wide,
+    }
+
+
+@pytest.mark.parametrize("budget", [1, dominance._PAIR_BUDGET])
+@pytest.mark.parametrize("name", sorted(_edge_inputs()))
+def test_edge_inputs_match_bruteforce(name, budget):
+    """Duplicates, dense ties and object-dtype masks, with the join in one
+    block and split into one block per root."""
+    ds = Dataset(values=_edge_inputs()[name])
+    matrices = PairwiseMatrices(ds, list(range(ds.n_objects)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dominance, "_PAIR_BUDGET", budget)
+        got = enumerate_maximal_cgroups(matrices)
+    assert len(set(got)) == len(got)
+    assert set(got) == brute_maximal_cgroups(ds)
+    assert got == sorted(got, key=lambda g: (g[0][0], -g[1]))
 
 
 def test_root_with_earlier_duplicate_emits_nothing():

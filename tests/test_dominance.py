@@ -1,8 +1,10 @@
 """Tests for dominance/coincidence relations and the pairwise matrices."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
+from repro.core import dominance
 from repro.core.dominance import (
     PairwiseMatrices,
     dominates,
@@ -61,46 +63,70 @@ class TestPredicates:
         assert not dominates(m, 1, 0, 0b11)
 
 
+def _coincidence_cells(matrices: PairwiseMatrices) -> dict[tuple[int, int], int]:
+    """Every cell the equality join yields, keyed by ``(u, o)``."""
+    cells: dict[tuple[int, int], int] = {}
+    for _, _, us, os_, masks in matrices.coincidences():
+        for u, o, mask in zip(us.tolist(), os_.tolist(), masks.tolist()):
+            assert (u, o) not in cells
+            cells[(u, o)] = mask
+    return cells
+
+
+def _nonzero_equal_cells(m: np.ndarray, k: int) -> dict[tuple[int, int], int]:
+    """Brute force: the non-zero off-diagonal ``equal_mask`` cells."""
+    cells = {(u, o): equal_mask(m, u, o) for u in range(k) for o in range(k) if u != o}
+    return {pair: mask for pair, mask in cells.items() if mask}
+
+
 class TestPairwiseMatrices:
     def test_matches_figure4(self, running_example):
         # Seeds of the running example are P2, P4, P5 (indices 1, 3, 4).
         matrices = PairwiseMatrices(running_example, [1, 3, 4])
-        dom, co = matrices.as_dense()
-        AD, C, B, ABCD = 0b1001, 0b0100, 0b0010, 0b1111
-        assert dom == [
+        AD, C, B = 0b1001, 0b0100, 0b0010
+        assert matrices.as_dense() == [
             [0, AD, C],
             [B, 0, C],
             [B, AD, 0],
         ]
-        assert co == [
-            [ABCD, C, AD],
-            [C, ABCD, B],
-            [AD, B, ABCD],
-        ]
+        # Figure 4b off the diagonal: every pair of seeds ties somewhere.
+        assert _coincidence_cells(matrices) == {
+            (0, 1): C,
+            (0, 2): AD,
+            (1, 0): C,
+            (1, 2): B,
+            (2, 0): AD,
+            (2, 1): B,
+        }
 
     def test_property1(self, running_example):
-        """Property 1: co is symmetric, diagonal full, derivable from dom."""
+        """Property 1: co is symmetric and derivable from dom."""
         matrices = PairwiseMatrices(running_example, [1, 3, 4])
         full = matrices.full_space
+        cells = _coincidence_cells(matrices)
         for i in range(3):
             assert matrices.dom(i, i) == 0
-            assert matrices.co(i, i) == full
             for j in range(3):
-                assert matrices.co(i, j) == matrices.co(j, i)
-                assert matrices.co(i, j) == (
-                    full & ~matrices.dom(i, j) & ~matrices.dom(j, i)
-                )
+                if i == j:
+                    continue
+                derived = full & ~matrices.dom(i, j) & ~matrices.dom(j, i)
+                assert cells.get((i, j), 0) == cells.get((j, i), 0) == derived
 
-    def test_co_derivation_matches_direct(self, running_example):
-        """Reading dominance rows first leaves co() unchanged: rows are
-        not cached, so no earlier read can switch how a cell is computed."""
-        a = PairwiseMatrices(running_example, [1, 3, 4])
-        b = PairwiseMatrices(running_example, [1, 3, 4])
-        for i in range(3):
-            a.dom_row(i)
-        for i in range(3):
-            for j in range(3):
-                assert a.co(i, j) == b.eq_row(i)[j]
+    @settings(max_examples=40, deadline=None)
+    @given(tiny_int_datasets(max_objects=8, max_dims=4))
+    def test_co_derivation_matches_direct(self, ds: Dataset):
+        """The join's cells are Property 1's derivation from the dominance
+        rows, and every pair the join leaves out derives to the empty set."""
+        k = ds.n_objects
+        matrices = PairwiseMatrices(ds, list(range(k)))
+        dom = matrices.as_dense()
+        full = matrices.full_space
+        cells = _coincidence_cells(matrices)
+        for i in range(k):
+            for j in range(k):
+                if i != j:
+                    derived = full & ~dom[i][j] & ~dom[j][i]
+                    assert cells.get((i, j), 0) == derived
 
     def test_len(self, running_example):
         assert len(PairwiseMatrices(running_example, [0, 2])) == 2
@@ -114,7 +140,65 @@ class TestPairwiseMatrices:
         for i in indices:
             for j in indices:
                 assert matrices.dom(i, j) == strictly_less_mask(m, i, j)
-                assert matrices.co(i, j) == equal_mask(m, i, j)
+
+
+class TestCoincidenceJoin:
+    """The equality join yields exactly the non-zero coincidence cells."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tiny_int_datasets(max_objects=8, max_dims=4))
+    def test_every_nonzero_cell_once_and_no_zero_cell(self, ds: Dataset):
+        k = ds.n_objects
+        matrices = PairwiseMatrices(ds, list(range(k)))
+        # _coincidence_cells asserts that no pair comes twice.
+        assert _coincidence_cells(matrices) == _nonzero_equal_cells(ds.minimized, k)
+
+    @pytest.mark.parametrize("budget", [1, 5])
+    def test_small_budget_splits_roots_into_blocks(self, budget):
+        values = np.random.default_rng(3).integers(0, 3, size=(30, 3)).astype(float)
+        ds = Dataset(values=values)
+        matrices = PairwiseMatrices(ds, list(range(30)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dominance, "_PAIR_BUDGET", budget)
+            blocks = list(matrices.coincidences())
+            got = _coincidence_cells(matrices)
+        assert len(blocks) > 1
+        # The blocks tile the roots in order, and each holds only its roots.
+        assert [b[0] for b in blocks] == [0, *(b[1] for b in blocks[:-1])]
+        assert blocks[-1][1] == 30
+        for start, stop, us, _, _ in blocks:
+            assert ((us >= start) & (us < stop)).all()
+        assert got == _nonzero_equal_cells(ds.minimized, 30)
+
+    def test_beyond_62_dims_cells_are_python_ints(self):
+        rng = np.random.default_rng(9)
+        ds = Dataset(values=rng.integers(0, 2, size=(6, 70)).astype(float))
+        matrices = PairwiseMatrices(ds, list(range(6)))
+        got = _coincidence_cells(matrices)
+        assert got == _nonzero_equal_cells(ds.minimized, 6)
+        assert any(mask >> 62 for mask in got.values())
+
+
+class TestDominanceRowPacking:
+    """``dom_row_array`` packs exactly on the float32 path (d ≤ 24), the
+    int64 fallback (d = 25) and the object path (d = 70)."""
+
+    @pytest.mark.parametrize("d", [24, 25, 70])
+    def test_rows_equal_strictly_less_mask(self, d):
+        rng = np.random.default_rng(d)
+        values = rng.integers(0, 3, size=(12, d)).astype(float)
+        # Row 0 is strictly below row 1 everywhere: its cell is the full
+        # space, the mask needing the most bits.
+        values[0], values[1] = 0.0, 5.0
+        ds = Dataset(values=values)
+        matrices = PairwiseMatrices(ds, list(range(12)))
+        m = ds.minimized
+        expected_dtype = object if d > 62 else np.int64
+        for i in range(12):
+            row = matrices.dom_row_array(i)
+            assert row.dtype == expected_dtype
+            assert row.tolist() == [strictly_less_mask(m, i, j) for j in range(12)]
+        assert matrices.dom(0, 1) == (1 << d) - 1
 
 
 class TestHighDimensional:
@@ -131,7 +215,8 @@ class TestHighDimensional:
 
 
 class TestOneRowPerRoot:
-    """No cache holds the rows, so the phase counts pin one row per root."""
+    """Phase counts: ``maximal_cgroups`` counts the tie pairs the join
+    visits, ``seed_decisive`` one dominance row per root."""
 
     def test_phase_comparison_counts(self):
         ds = make_dataset("anticorrelated", 150, 5, seed=11)
@@ -139,8 +224,12 @@ class TestOneRowPerRoot:
         k = len(result.seeds)
         assert k > 50
         root = result.stats.root_span
-        for phase in ("maximal_cgroups", "seed_decisive"):
-            assert root.find(phase).counters["dominance_comparisons"] == k * k
+        m = ds.minimized[result.seeds]
+        ties = len(_nonzero_equal_cells(m, k))
+        assert 0 < ties < k * (k - 1)
+        counters = root.find("maximal_cgroups").counters
+        assert counters["dominance_comparisons"] == ties
+        assert root.find("seed_decisive").counters["dominance_comparisons"] == k * k
         # The extension reuses the seed groups' decisive subspaces and
         # reads no dominance row.
         counters = root.find("nonseed_extension").counters

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import extension
+from repro.core import dominance, extension
 from repro.core.extension import closed_masks, share_and_beat_masks
 from repro.core.stellar import stellar
 from repro.core.types import Dataset
@@ -183,7 +183,7 @@ def _share_map_inputs(draw):
 class TestShareMapJoin:
     """The equality-join share maps equal the dense per-group reference."""
 
-    @pytest.mark.parametrize("budget", [1, 7, extension._PAIR_BUDGET])
+    @pytest.mark.parametrize("budget", [1, 7, dominance._PAIR_BUDGET])
     @settings(max_examples=60, deadline=None)
     @given(inputs=_share_map_inputs())
     def test_matches_dense_reference(self, budget, inputs):
@@ -191,7 +191,7 @@ class TestShareMapJoin:
         pow2 = (1 << np.arange(ns_matrix.shape[1], dtype=np.int64)).astype(np.int64)
         expected = _dense_share_maps(reps, subspaces, ns_matrix, ns_ids, pow2)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(extension, "_PAIR_BUDGET", budget)
+            mp.setattr(dominance, "_PAIR_BUDGET", budget)
             got = extension._share_maps_block(
                 reps, subspaces, ns_matrix, ns_ids, pow2
             )
@@ -221,5 +221,5 @@ class TestShareMapJoin:
         ds = Dataset(values=values)
         expected = stellar(ds).groups
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(extension, "_PAIR_BUDGET", 1)
+            mp.setattr(dominance, "_PAIR_BUDGET", 1)
             assert stellar(ds).groups == expected

@@ -139,7 +139,7 @@ class TestGlobalRecorder:
 
     def test_stellar_run_lands_span_and_progress_events(self, flight):
         dataset = make_dataset("independent", 60, 3, seed=7)
-        stellar(dataset)
+        result = stellar(dataset)
         kinds = {e["kind"] for e in flight.events()}
         assert {"span.start", "span.end", "skyline.compute"} <= kinds
         ends = {
@@ -150,6 +150,8 @@ class TestGlobalRecorder:
         # A phase's progress rides on its span: the closing event carries
         # the items it ticked through.
         assert ends["full_space_skyline"]["counters"]["items"] == 60
+        # The c-group search ticks once per seed root.
+        assert ends["maximal_cgroups"]["counters"]["items"] == len(result.seeds)
 
     def test_repro_log_records_are_mirrored(self, flight):
         from repro.obs import get_logger
