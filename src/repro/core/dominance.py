@@ -235,6 +235,7 @@ class PairwiseMatrices:
         self.dataset = dataset
         self.indices: tuple[int, ...] = tuple(int(i) for i in indices)
         self._sub = dataset.minimized[list(self.indices), :]
+        self._columns = np.ascontiguousarray(self._sub.T)
         self._full = full_mask(dataset.n_dims)
         self._weights = bit_weights(dataset.n_dims)
 
@@ -250,6 +251,22 @@ class PairwiseMatrices:
         """Row ``dom[i, *]`` as a packed numpy vector (local index ``i``)."""
         COMPARISONS.add(len(self.indices))
         return pack_rows(self._sub[i] < self._sub, self._weights)
+
+    def dom_rows_array(self, rows: np.ndarray) -> np.ndarray:
+        """Rows ``dom[i, *]`` for each local index in ``rows``, stacked.
+
+        One vectorised comparison per dimension over the whole block, packed
+        into the smallest unsigned dtype holding ``d`` bits (up to 64
+        dimensions), so a block of rows costs no per-row float product.
+        """
+        COMPARISONS.add(len(rows) * len(self.indices))
+        dtype = np.min_scalar_type(self._full)
+        block = self._sub[rows]
+        packed = np.zeros((len(rows), len(self.indices)), dtype=dtype)
+        for k in range(self.dataset.n_dims):
+            flags = block[:, k, None] < self._columns[k]
+            packed |= flags.astype(dtype) << dtype.type(k)
+        return packed
 
     def dom_row(self, i: int) -> list[int]:
         """Row ``dom[i, *]`` of the dominance matrix, as Python ints."""

@@ -31,7 +31,7 @@ from ..skyline import compute_skyline
 from .cgroups import enumerate_maximal_cgroups
 from .dominance import COMPARISONS, PairwiseMatrices
 from .extension import extend_with_nonseeds
-from .seeds import SeedGroup, compute_seed_groups
+from .seeds import SeedGroup, compute_seed_groups, seed_route
 from .types import Dataset, SkylineGroup
 
 __all__ = ["StellarStats", "StellarResult", "stellar"]
@@ -170,6 +170,7 @@ def _stellar_core(dataset: Dataset, tracer: Tracer) -> StellarResult:
     stats.n_maximal_cgroups = len(cgroups)
 
     with _phase(tracer, "seed_decisive", len(cgroups)) as sp:
+        sp.annotate(route=seed_route(dataset.n_dims))
         seed_groups = compute_seed_groups(dataset, matrices, cgroups)
         sp.count("seed_groups", len(seed_groups))
     stats.n_seed_groups = len(seed_groups)

@@ -201,6 +201,28 @@ class TestDominanceRowPacking:
         assert matrices.dom(0, 1) == (1 << d) - 1
 
 
+class TestDominanceRowBlocks:
+    """``dom_rows_array`` stacks the rows of any subset of roots in the
+    narrowest unsigned dtype, and counts one comparison per cell."""
+
+    @pytest.mark.parametrize(
+        "d, dtype", [(1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16)]
+    )
+    def test_block_equals_rows(self, d, dtype):
+        rng = np.random.default_rng(d)
+        values = rng.integers(0, 3, size=(12, d)).astype(float)
+        values[0], values[1] = 0.0, 5.0
+        ds = Dataset(values=values)
+        matrices = PairwiseMatrices(ds, list(range(12)))
+        roots = np.array([1, 0, 7, 7])
+        before = dominance.COMPARISONS.value
+        block = matrices.dom_rows_array(roots)
+        assert dominance.COMPARISONS.value - before == len(roots) * 12
+        assert block.dtype == dtype
+        assert block.tolist() == [matrices.dom_row(int(i)) for i in roots]
+        assert block[1, 1] == (1 << d) - 1
+
+
 class TestHighDimensional:
     def test_beyond_62_dims_uses_bigints(self):
         rng = np.random.default_rng(5)

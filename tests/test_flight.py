@@ -153,6 +153,15 @@ class TestGlobalRecorder:
         # The c-group search ticks once per seed root.
         assert ends["maximal_cgroups"]["counters"]["items"] == len(result.seeds)
 
+    def test_seed_decisive_span_names_its_route(self, flight):
+        """The phase says which hitting-set route ran, so a slow one on a
+        wide input explains itself from the trace."""
+        for d, route in ((3, "table"), (17, "berge")):
+            result = stellar(make_dataset("independent", 20, d, seed=7))
+            phase = result.stats.root_span.find("seed_decisive")
+            assert phase.attributes["route"] == route
+            assert phase.counters["items"] == result.stats.n_maximal_cgroups
+
     def test_repro_log_records_are_mirrored(self, flight):
         from repro.obs import get_logger
 
