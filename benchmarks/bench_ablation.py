@@ -2,7 +2,8 @@
 
 Not a paper figure -- these quantify the library's own knobs:
 
-* Skyey's shared sort keys vs per-subspace recomputation;
+* Skyey's shared sort keys vs per-subspace recomputation (the toggle has
+  no effect while the skyline kernel sums each subspace itself);
 * duplicate binding on duplicate-heavy data (the Section 5 preprocessing);
 * the registered skyline algorithms across the three distributions;
 * dominance-comparison counts per algorithm -- the hardware-independent
@@ -124,12 +125,12 @@ def test_stellar_vs_skyey_comparison_counts(benchmark, nba):
 
 
 def test_stellar_build_independent_20k(benchmark):
-    """Stellar above ``BITSET_MAX_ROWS``: the chunked scan and the share-map join.
+    """Stellar at 20,000 x 4: the elimination filter and the share-map join.
 
-    At 20,000 x 4 the full-space skyline runs the chunk-vectorised SFS scan
-    and the non-seed extension joins ~19,800 non-seeds against the seed
-    groups.  Too big for the definitional oracle, so the pinned seed and
-    group counts are the check.
+    The full-space skyline's filter leaves a few hundred of the 20,000
+    rows to the bitset kernel, and the non-seed extension joins ~19,800
+    non-seeds against the seed groups.  Too big for the definitional
+    oracle, so the pinned seed and group counts are the check.
     """
     data = make_dataset("independent", 20_000, 4, seed=20070415)
     result = benchmark.pedantic(stellar, args=(data,), rounds=1, iterations=1)

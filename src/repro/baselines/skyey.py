@@ -14,10 +14,9 @@ this ICDE'07 paper only sketches):
 
 * The subspace search is :class:`~repro.skycube.traversal.SubspaceSearch`,
   the library's one SkyCube traversal: depth-first from the full space,
-  each subspace visited once, with coordinate-sum sort keys derived from
-  parent to child (the reproduction's analogue of the paper's shared
-  sorted lists).  Its per-subspace scan is the window filter of
-  :mod:`repro.skyline.numpy_skyline`, so Skyey and Stellar sit on the same
+  each subspace visited once.  Its per-subspace skyline is
+  :func:`~repro.skyline.numpy_skyline.skyline_rows`, the kernel of
+  Stellar's full-space skyline, so Skyey and Stellar sit on the same
   substrate and runtime comparisons measure the *search strategy*, not
   implementation folklore.
 * Group assembly: each subspace's skyline objects are grouped by their
@@ -107,11 +106,10 @@ def skyey(
     dataset:
         The input objects; preference directions are honoured.
     share_sort_keys:
-        When True (the algorithm as published), a child subspace derives
-        its monotone sort key from the parent's by subtracting one column
-        -- the reproduction's analogue of Skyey's shared sorted lists.
-        When False each subspace recomputes its key from scratch; the
-        ablation benchmark measures what the sharing buys.
+        Has no effect.  It chose whether a child subspace derived its sort
+        key from the parent's by subtracting one column (the analogue of
+        Skyey's shared sorted lists); the skyline kernel sums each
+        subspace itself and sorts only the rows its filter leaves.
     candidate_pruning:
         Arm the subspace search with the parent-candidate pruning of the
         SkyCube paper (see :mod:`repro.skycube.traversal`): each child

@@ -12,6 +12,11 @@ Budget handling: each algorithm of a sweep runs under a
 scale's per-point budget the remaining (strictly more expensive) points are
 reported as skipped, which corresponds to the off-the-chart region of the
 paper's log-scale plots.
+
+Answer check: Stellar and Skyey both compute the whole compressed cube, so
+wherever both ran at a sweep point (Figures 8, 11 and 12) their canonical
+groups must be equal; a difference raises :class:`AnswerMismatch` and
+fails the run.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ from ..cube.compressed import CompressedSkylineCube
 from ..data.generators import make_dataset
 from ..data.nba import generate_nba_like
 from ..obs.tracing import Tracer, current_tracer
-from .harness import SCALES, BudgetedRunner, Scale
+from .harness import SCALES, BenchPoint, BudgetedRunner, Scale
 from .reporting import FigureResult
 
 __all__ = [
+    "AnswerMismatch",
     "figure8",
     "figure9",
     "figure10",
@@ -46,6 +52,22 @@ _DISTRIBUTIONS = ("correlated", "equal", "anticorrelated")
 
 #: Fixed dimensionality of the Figure 12 size sweep, per distribution.
 _FIG12_DIMS = {"correlated": 6, "equal": 4, "anticorrelated": 4}
+
+
+class AnswerMismatch(RuntimeError):
+    """Stellar and Skyey returned different cubes at one sweep point."""
+
+
+def _check_agreement(where: str, p_stellar: BenchPoint, p_skyey: BenchPoint) -> None:
+    """Raise :class:`AnswerMismatch` unless both cubes agree; skipped points pass."""
+    if p_stellar.result is None or p_skyey.result is None:
+        return
+    if _canonical(p_stellar.result) != _canonical(p_skyey.result):
+        raise AnswerMismatch(f"Stellar and Skyey disagree at {where}")
+
+
+def _canonical(result) -> list[tuple]:
+    return [(g.key, g.decisive, g.projection) for g in result.groups]
 
 
 def _resolve(scale: str | Scale) -> Scale:
@@ -73,6 +95,7 @@ def figure8(scale: str | Scale = "default") -> FigureResult:
         data = nba.prefix_dims(d)
         p_stellar = stellar_runner.run(d, "stellar", lambda: stellar(data))
         p_skyey = skyey_runner.run(d, "skyey", lambda: skyey(data))
+        _check_agreement(f"Figure 8, d={d}", p_stellar, p_skyey)
         speedup = (
             p_skyey.seconds / p_stellar.seconds
             if p_skyey.seconds and p_stellar.seconds
@@ -164,6 +187,7 @@ def figure11(scale: str | Scale = "default") -> FigureResult:
             data = make_dataset(dist, sc.synthetic_tuples, d, seed=_SEED)
             p_stellar = stellar_runner.run(d, "stellar", lambda: stellar(data))
             p_skyey = skyey_runner.run(d, "skyey", lambda: skyey(data))
+            _check_agreement(f"Figure 11, {dist} d={d}", p_stellar, p_skyey)
             rows.append([dist, d, p_stellar.seconds, p_skyey.seconds])
     return FigureResult(
         figure="Figure 11",
@@ -192,6 +216,7 @@ def figure12(scale: str | Scale = "default") -> FigureResult:
             data = make_dataset(dist, n, d, seed=_SEED)
             p_stellar = stellar_runner.run(n, "stellar", lambda: stellar(data))
             p_skyey = skyey_runner.run(n, "skyey", lambda: skyey(data))
+            _check_agreement(f"Figure 12, {dist} n={n}", p_stellar, p_skyey)
             rows.append([dist, d, n, p_stellar.seconds, p_skyey.seconds])
     return FigureResult(
         figure="Figure 12",

@@ -702,9 +702,13 @@ def main(argv: list[str] | None = None) -> int:
         "loadtest": _cmd_loadtest,
         "trace": _cmd_trace,
     }[args.command]
+    from .core.hitting import HittingSetOverflow
+
     try:
         return _with_telemetry(handler, args)
-    except _InputError as exc:
+    except (_InputError, HittingSetOverflow) as exc:
+        # HittingSetOverflow: a build whose input outgrows the hitting-set
+        # cap, from any command that runs Stellar.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -1472,13 +1476,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return _cmd_bench_diff(args)
 
     from .bench import FIGURES, emit_trace, run_figure
+    from .bench.figures import AnswerMismatch
     from .bench.ledger import append_entry, entry_from_result, ledger_path
     from .core.dominance import COMPARISONS
 
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]
     for name in names:
         comparisons_before = COMPARISONS.value
-        result = run_figure(name, scale=args.scale)
+        try:
+            result = run_figure(name, scale=args.scale)
+        except AnswerMismatch as exc:
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            return 1
         print(result.to_text())
         print()
         if not args.no_ledger:

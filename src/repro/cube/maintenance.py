@@ -152,7 +152,6 @@ class MaintainedCube:
         fast = self._dataset.n_objects > 0 and self._insert_is_irrelevant(
             new_dataset.minimized[-1]
         )
-        self._dataset = new_dataset
         if fast:
             # The groups and seeds are unchanged; rebind the cube to the new
             # dataset so indices (which are append-only) stay valid.
@@ -160,11 +159,13 @@ class MaintainedCube:
             self.stats.fast_inserts += 1
             self.stats.history.append(f"insert {label}: fast")
         else:
+            # Build first: a build that raises leaves this cube unchanged.
             result = stellar(new_dataset)
             self._cube = CompressedSkylineCube(new_dataset, result.groups)
             self._seeds = list(result.seeds)
             self.stats.full_inserts += 1
             self.stats.history.append(f"insert {label}: full")
+        self._dataset = new_dataset
         return fast
 
     def delete(self, label: str) -> bool:
@@ -198,8 +199,8 @@ class MaintainedCube:
             self.stats.fast_deletes += 1
             self.stats.history.append(f"delete {label}: fast")
             return True
-        self._dataset = new_dataset
         result = stellar(new_dataset)
+        self._dataset = new_dataset
         self._cube = CompressedSkylineCube(new_dataset, result.groups)
         self._seeds = list(result.seeds)
         self.stats.full_deletes += 1

@@ -46,6 +46,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
+from ..core.hitting import HittingSetOverflow
 from ..core.types import Dataset
 from ..cube.compressed import CompressedSkylineCube
 from ..cube.diff import diff_cubes
@@ -919,6 +920,10 @@ class CubeService:
             return 404, {"error": "unknown_snapshot", "detail": str(exc)}, {}
         except ValueError as exc:
             return 400, {"error": "bad_request", "detail": str(exc)}, {}
+        except HittingSetOverflow as exc:
+            # A build (publish, or a mutation's full rerun) whose decisive
+            # subspaces outgrow the hitting-set cap: the input is at fault.
+            return 422, {"error": "build_overflow", "detail": str(exc)}, {}
         except Exception:
             _LOG.exception("serve.internal_error")
             return 500, {"error": "internal"}, {}

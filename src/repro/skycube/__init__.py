@@ -9,7 +9,8 @@ computation is the engine inside the Skyey baseline.
 
 * :mod:`repro.skycube.naive` -- one independent skyline query per subspace;
 * :mod:`repro.skycube.traversal` -- the one depth-first traversal, with
-  shared sort keys (:func:`skycube_shared`, the strategy Skyey uses) or
+  every object scanned in every subspace (:func:`skycube_shared`, the
+  strategy Skyey uses) or
   parent-candidate pruning (:func:`skycube_topdown`, the TDS idea of the
   SkyCube paper with exact tie handling).
 """

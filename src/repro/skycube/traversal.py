@@ -6,15 +6,18 @@ increasing dimension order, and a child's own limit is the dimension it
 removed.  Along any path dimensions therefore go in decreasing index order,
 and every non-empty subspace is visited exactly once.
 
-Every subspace skyline is a sort-first scan in coordinate-sum order (a key
-monotone under dominance) through
-:func:`~repro.skyline.numpy_skyline.chunked_sorted_skyline`.  Two
-strategies share the traversal:
+Every subspace skyline goes through
+:func:`~repro.skyline.numpy_skyline.skyline_rows`, the same kernel as
+Stellar's full-space skyline: an elimination filter by the rows of
+smallest coordinate sum, then a bitset kernel or a sort-first scan of the
+survivors.  Two strategies share the traversal:
 
-* **Shared sort keys** (Skyey, Pei et al., VLDB 2005): every subspace scans
-  all objects, and a child's sums are its parent's minus one column -- the
-  reproduction's analogue of Skyey's shared sorted lists.  With
-  ``share_sort_keys=False`` each subspace sums its columns afresh.
+* **Every object** (Skyey, Pei et al., VLDB 2005): every subspace starts
+  from all objects, and the kernel sums the subspace's columns itself.
+  ``share_sort_keys`` is accepted and has no effect: deriving a child's
+  sums from its parent's would only pick the filter's head, and rounding
+  can make a derived sum non-monotone under dominance, so the scan could
+  not use it.
 * **Parent-candidate pruning** (the top-down idea of the SkyCube paper,
   Yuan et al., VLDB 2005).  For ``C ⊂ B``, ``sky(C) ⊆ sky(B) ∪ T_C``, where
   ``T_C`` is the set of objects whose ``C``-projection coincides with that
@@ -42,7 +45,7 @@ import numpy as np
 
 from ..core.bitset import bit_list
 from ..core.types import Dataset
-from ..skyline.numpy_skyline import chunked_sorted_skyline
+from ..skyline.numpy_skyline import skyline_rows
 
 __all__ = ["SubspaceSearch", "skycube_shared", "skycube_topdown"]
 
@@ -50,9 +53,8 @@ __all__ = ["SubspaceSearch", "skycube_shared", "skycube_topdown"]
 class SubspaceSearch:
     """One depth-first traversal of the subspace tree of ``minimized``.
 
-    A node's *seed* is what its skyline scan starts from: the objects'
-    sort keys on the subspace (shared keys; None when every subspace sums
-    afresh) or the candidate rows (pruning).
+    A node's *seed* is what its skyline scan starts from: the candidate
+    rows (pruning), or None for every object.
     """
 
     def __init__(
@@ -70,10 +72,10 @@ class SubspaceSearch:
         """``(subspace, sorted skyline)`` of every subspace, depth-first."""
         return self._walk(self.full, self.minimized.shape[1], self._root_seed())
 
-    def _root_seed(self) -> np.ndarray:
+    def _root_seed(self) -> np.ndarray | None:
         if self.candidate_pruning:
             return np.arange(self.minimized.shape[0])
-        return self.minimized.sum(axis=1)
+        return None
 
     def _walk(
         self, subspace: int, max_removable: int, seed
@@ -84,31 +86,21 @@ class SubspaceSearch:
             child = subspace & ~(1 << d)
             if child == subspace or child == 0:
                 continue
-            yield from self._walk(child, d, self._child_seed(seed, skyline, d, child))
+            yield from self._walk(child, d, self._child_seed(seed, skyline, child))
 
     def _skyline(self, subspace: int, seed) -> np.ndarray:
         cols = bit_list(subspace)
-        if self.candidate_pruning:
-            rows = seed
-            proj = self.minimized[np.ix_(rows, cols)]
-            keys = proj.sum(axis=1)
-        else:
-            rows = None
-            proj = self.minimized[:, cols]
-            keys = seed if self.share_sort_keys else proj.sum(axis=1)
-        order = np.argsort(keys, kind="stable")
-        positions = order[chunked_sorted_skyline(proj[order])]
-        return np.sort(positions if rows is None else rows[positions])
+        if seed is None:
+            return skyline_rows(self.minimized[:, cols])
+        return seed[skyline_rows(self.minimized[np.ix_(seed, cols)])]
 
-    def _child_seed(self, seed, skyline, d: int, child: int):
-        if self.candidate_pruning:
+    def _child_seed(self, seed, skyline, child: int):
+        if seed is not None:
             # Adding 0.0 turns -0.0 into 0.0, so the byte-level row
             # comparison below compares values.
             block = self.minimized[:, bit_list(child)] + 0.0
             member_rows = _rows_as_void(block[skyline])
             return np.flatnonzero(np.isin(_rows_as_void(block), member_rows))
-        if self.share_sort_keys:
-            return seed - self.minimized[:, d]
         return None
 
 
@@ -129,7 +121,7 @@ def _skycube(dataset: Dataset, candidate_pruning: bool) -> dict[int, list[int]]:
 
 
 def skycube_shared(dataset: Dataset) -> dict[int, list[int]]:
-    """Skyline of every non-empty subspace, sort keys shared down the tree."""
+    """Skyline of every non-empty subspace, each scanning every object."""
     return _skycube(dataset, candidate_pruning=False)
 
 

@@ -31,6 +31,7 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..core.hitting import HittingSetOverflow
 from ..cube.maintenance import MaintainedCube
 from ..obs.logging import get_logger
 from ..obs.metrics import registry
@@ -274,8 +275,10 @@ def apply_records(
     """Replay records through the maintenance layer; ``(applied, skipped)``.
 
     A record whose apply raises ``ValueError`` (duplicate label, unknown
-    label) is skipped: it failed identically on the live path, so skipping
-    keeps the replayed mutation count equal to the pre-crash count.
+    label) or :class:`~repro.core.hitting.HittingSetOverflow` (a rebuild
+    the live path answered with a 422) is skipped: it failed identically
+    on the live path, so skipping keeps the replayed mutation count equal
+    to the pre-crash count.
     """
     applied = skipped = 0
     for record in records:
@@ -284,7 +287,7 @@ def apply_records(
                 maintained.insert(list(record.row or ()), label=record.label)
             else:
                 maintained.delete(record.label or "")
-        except ValueError:
+        except (ValueError, HittingSetOverflow):
             skipped += 1
             _SKIPPED.inc()
             continue

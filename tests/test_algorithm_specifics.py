@@ -10,7 +10,14 @@ import numpy as np
 from repro.core.dominance import COMPARISONS
 from repro.data import make_dataset
 from repro.skyline.base import skyline_brute
-from repro.skyline.numpy_skyline import BITSET_MAX_ROWS, chunked_sorted_skyline
+from repro.skyline.numpy_skyline import (
+    _CHUNK,
+    _FILTER_ROUND,
+    BITSET_MAX_ROWS,
+    FILTER_HEAD,
+    chunked_sorted_skyline,
+    skyline_rows,
+)
 from repro.skyline.sfs import monotone_order
 
 
@@ -118,3 +125,68 @@ class TestChunkedScanCharge:
             expected += c * start + c * c
         assert expected == 68
         assert _charged(ordered, chunk) == expected
+
+
+def _charged_rows(proj: np.ndarray) -> int:
+    before = COMPARISONS.value
+    skyline_rows(proj)
+    return COMPARISONS.value - before
+
+
+class TestFilterCharge:
+    """The filter's ``COMPARISONS`` rule: ``H^2`` for the head's self-test
+    once there are more than ``H`` rows, plus one test per (row, filter
+    point) pair the pass compares, then the kernel's own charge on the
+    survivors."""
+
+    H = FILTER_HEAD
+
+    def _one_filter_point(self, n: int, survivors: int) -> np.ndarray:
+        # The zero row dominates the H - 1 unit rows of the head, so it is
+        # the one filter point; the rows with a negative first value survive
+        # it, and their sums are distinct.
+        units = np.eye(2)[np.arange(self.H - 1) % 2]
+        step = np.arange(1.0, survivors)
+        kept = np.column_stack([-step, 100.0 + 2 * step])
+        dominated = np.full((n - self.H - (survivors - 1), 2), 100.0)
+        return np.vstack([np.zeros((1, 2)), units, kept, dominated])
+
+    def test_no_filter_up_to_the_head_size(self):
+        proj = make_dataset("anticorrelated", self.H, 3, seed=3).minimized
+        assert _charged_rows(proj) == self.H * self.H
+
+    def test_a_round_that_removes_nothing_ends_the_pass(self):
+        # An anti-diagonal: no row dominates another, so the first round of
+        # filter points removes nothing and the bitsets take every row.
+        n = 300
+        proj = np.column_stack([np.arange(n), np.arange(n)[::-1]]).astype(float)
+        first_round = n * _FILTER_ROUND
+        assert _charged_rows(proj) == self.H * self.H + first_round + n * n
+
+    def test_each_round_tests_only_the_rows_left(self):
+        # Nine filter points P_k = (2k, 20 - k), incomparable, with distinct
+        # sums: the first round holds P_0..P_7, the second P_8 alone.  The
+        # head's other rows and the (100, 100) rows fall in round one; the
+        # (17, 12) rows only P_8 dominates; the (-1, 1000) rows survive.
+        points = [[2.0 * k, 20.0 - k] for k in range(9)]
+        head_rest = [[2.0 * k, 21.0 - k] for k in np.arange(self.H - 9) % 8]
+        second_round = [[17.0, 12.0]] * 5
+        kept = [[-1.0, 1000.0 + j] for j in range(10)]
+        dominated = [[100.0, 100.0]] * 500
+        proj = np.array(points + head_rest + second_round + kept + dominated)
+        n, left = len(proj), 9 + 5 + 10
+        expected = self.H * self.H + n * _FILTER_ROUND + left * 1 + 19 * 19
+        assert _charged_rows(proj) == expected
+
+    def test_filter_pass_then_bitset_on_the_survivors(self):
+        n, survivors = 500, 40
+        proj = self._one_filter_point(n, survivors)
+        expected = self.H * self.H + n * 1 + survivors * survivors
+        assert _charged_rows(proj) == expected
+
+    def test_filter_pass_then_scan_above_the_bitset_cut(self):
+        n, survivors = BITSET_MAX_ROWS + 300, BITSET_MAX_ROWS + 1
+        proj = self._one_filter_point(n, survivors)
+        kept = np.vstack([proj[:1], proj[self.H : self.H + survivors - 1]])
+        scan = _charged(kept[monotone_order(kept)], _CHUNK)
+        assert _charged_rows(proj) == self.H * self.H + n * 1 + scan

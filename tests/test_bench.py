@@ -1,9 +1,12 @@
 """Tests for the benchmark harness and figure runners (smoke scale)."""
 
+import dataclasses
+
 import pytest
 
-from repro.bench import SCALES, run_figure
-from repro.bench.harness import BudgetedRunner, time_call
+from repro.bench import SCALES, figures, run_figure
+from repro.bench.figures import AnswerMismatch
+from repro.bench.harness import BenchPoint, BudgetedRunner, time_call
 from repro.bench.reporting import FigureResult, render_markdown, render_table
 
 
@@ -108,3 +111,51 @@ class TestFigureRunners:
         result = run_figure("fig12", scale="smoke")
         sizes = {row[2] for row in result.rows}
         assert sizes == {200, 400}
+
+
+@pytest.fixture
+def skyey_drops_a_group(monkeypatch):
+    """Skyey returns its cube minus the last group: a wrong answer."""
+    real = figures.skyey
+
+    def wrong(data):
+        result = real(data)
+        return dataclasses.replace(result, groups=result.groups[:-1])
+
+    monkeypatch.setattr(figures, "skyey", wrong)
+
+
+class TestAnswerCheck:
+    """Wherever Stellar and Skyey both ran, their cubes must be equal."""
+
+    @pytest.mark.parametrize(
+        "name, where",
+        [
+            ("fig8", "Figure 8, d=1"),
+            ("fig11", "Figure 11, correlated d=2"),
+            ("fig12", "Figure 12, correlated n=200"),
+        ],
+    )
+    def test_mismatch_fails_the_figure(self, skyey_drops_a_group, name, where):
+        with pytest.raises(AnswerMismatch, match=where):
+            run_figure(name, scale="smoke")
+
+    def test_mismatch_fails_the_bench_command(
+        self, skyey_drops_a_group, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        argv = ["bench", "fig8", "--scale", "smoke", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: fig8: Stellar and Skyey disagree at Figure 8, d=1\n"
+        assert not list(tmp_path.glob("BENCH_*.json"))
+
+    def test_skipped_point_is_not_compared(self, running_example):
+        from repro.baselines import skyey
+
+        skipped = BenchPoint(x=1, algorithm="stellar", seconds=None)
+        ran = BenchPoint(
+            x=1, algorithm="skyey", seconds=0.1, result=skyey(running_example)
+        )
+        figures._check_agreement("x", skipped, ran)

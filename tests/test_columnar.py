@@ -172,10 +172,15 @@ class TestSkylineNumpy:
         for subspace in (None, 0b001, 0b101):
             assert skyline_numpy(m, subspace) == skyline_brute(m, subspace)
 
-    @pytest.mark.parametrize("n", [BITSET_MAX_ROWS, BITSET_MAX_ROWS + 1])
+    @pytest.mark.parametrize(
+        "n", [2_000, 2_001, BITSET_MAX_ROWS, BITSET_MAX_ROWS + 1]
+    )
     def test_at_the_size_cutoff(self, n):
         # A small value domain makes ties, duplicates and a non-trivial
-        # skyline certain on both sides of the cutoff.
+        # skyline certain on both sides of the cutoff.  2,000 rows was the
+        # raw-row cutoff before the elimination filter; BITSET_MAX_ROWS now
+        # cuts the survivor count, which tests/test_skyline_filter.py
+        # crosses on purpose.
         rng = np.random.default_rng(n)
         m = rng.integers(0, 40, size=(n, 3)).astype(float)
         expected = skyline_brute(m, None)
