@@ -28,6 +28,11 @@ seed would be the group's smallest member (the prune of Figure 6's line
 32).  Every maximal c-group therefore comes out exactly once, from the root
 that is its smallest member, and no duplicate suppression table is needed.
 
+A root with no later cell has only the full space as a candidate: it
+emits ``((u,), full)`` unless an earlier seed is its exact duplicate
+(``co[u, o] = full``), read off per-block counts with no per-root numpy
+call (docs/THEORY.md §9).
+
 Only the non-zero cells ``co[u, o]`` take part, so the search reads them
 from an equality join over the seeds' sorted columns
 (:meth:`~repro.core.dominance.PairwiseMatrices.coincidences`), the way FD
@@ -75,12 +80,24 @@ def enumerate_maximal_cgroups(
         # earlier seeds' cells, then the later seeds'.
         n_roots = stop - start
         counts = np.bincount(roots - start, minlength=n_roots)
-        earlier = np.bincount(roots[others < roots] - start, minlength=n_roots)
+        before = others < roots
+        earlier = np.bincount(roots[before] - start, minlength=n_roots)
+        # Earlier seeds coinciding with the root everywhere: its duplicates.
+        twins = np.bincount(roots[before & (cells == full)] - start, minlength=n_roots)
         ends = np.cumsum(counts)
         splits = ends - counts + earlier
         lo = 0
-        for u, split, hi in zip(range(start, stop), splits.tolist(), ends.tolist()):
+        for u, split, hi, twin in zip(
+            range(start, stop), splits.tolist(), ends.tolist(), twins.tolist()
+        ):
             tick()
+            if split == hi:
+                # No later seed ties u, so the full space is its only
+                # candidate, with u alone; an earlier duplicate emits it.
+                if not twin:
+                    out.append(((u,), full))
+                lo = hi
+                continue
             cell_run, n_earlier = cells[lo:hi], split - lo
             later_seeds = others[split:hi]
             lo = hi

@@ -74,8 +74,9 @@ def minimal_hitting_sets(
     max_candidates:
         Safety cap on the intermediate candidate count.
     start:
-        The minimal transversals ``Tr(F)`` of a family ``F`` solved earlier;
-        the result is then ``Tr(F ∪ clauses)``, one Berge step per clause.
+        The minimal transversals ``Tr(F)`` of a family ``F`` solved earlier
+        (an antichain); the result is then ``Tr(F ∪ clauses)``, one Berge
+        step per clause.
         The default ``(0,)`` is ``Tr`` of the empty family.
 
     Returns
@@ -88,23 +89,26 @@ def minimal_hitting_sets(
     candidates = list(start)
     for clause in reduced:
         surviving: list[int] = []
-        forked: list[int] = []
+        missing: list[int] = []
         for t in candidates:
-            if t & clause:
-                surviving.append(t)
-            else:
-                for d in iter_bits(clause):
-                    forked.append(t | (1 << d))
-        if forked:
-            # A forked candidate is non-minimal iff a *surviving* candidate
-            # is contained in it: two forks of the same generation only
-            # contain one another if one forked from a subset candidate,
-            # which absorption of the previous generation already ruled out
-            # unless the added bit coincides -- handle both by a full
-            # antichain pass over the union.
-            candidates = minimal_masks(surviving + forked)
-        else:
-            candidates = surviving
+            (surviving if t & clause else missing).append(t)
+        if missing:
+            # Fork t ∪ {d} of a candidate t missing the clause is
+            # non-minimal iff some survivor s ⊆ t ∪ {d}; s ⊄ t since the
+            # candidates are an antichain, so s holds d.  Forks of two
+            # different candidates never contain one another for the same
+            # reason (docs/THEORY.md §9), so only the survivors holding d
+            # are checked, and the set drops a fork met twice.
+            forked: set[int] = set()
+            for d in iter_bits(clause):
+                b = 1 << d
+                holders = [s for s in surviving if s & b]
+                for t in missing:
+                    fork = t | b
+                    if fork not in forked and not any(s & fork == s for s in holders):
+                        forked.add(fork)
+            surviving.extend(forked)
+        candidates = surviving
         if len(candidates) > max_candidates:
             raise HittingSetOverflow(
                 f"more than {max_candidates} candidate transversals; "

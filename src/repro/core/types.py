@@ -178,8 +178,11 @@ class Dataset:
         return self.values[i]
 
     def projection(self, i: int, subspace: int) -> tuple[float, ...]:
-        """Raw projection of object ``i`` onto ``subspace`` (Definition of u_B)."""
-        return tuple(self.values[i, d] for d in iter_bits(subspace))
+        """Raw projection of object ``i`` onto ``subspace`` (Definition of u_B).
+
+        Python floats, as a cube read back from disk holds them.
+        """
+        return tuple(self.values[i, list(iter_bits(subspace))].tolist())
 
     def min_projection(self, i: int, subspace: int) -> tuple[float, ...]:
         """Minimized projection of object ``i`` onto ``subspace``."""

@@ -20,7 +20,9 @@ powers Stellar's non-seed step:
   mask, the seed-decisive subspace inside ``C`` would have pulled the
   object into a child group -- contradiction.  Every decisive subspace
   therefore already hits the clause, and dropping a clause that all
-  minimal transversals hit changes no minimal transversal.
+  minimal transversals hit changes no minimal transversal
+  (docs/THEORY.md §9; the non-seed extension skips its Berge steps and
+  emits untouched seed groups by the same lemma).
 
 Everything else falls back to a full Stellar recomputation.  The class
 tracks how often each path fires, which example

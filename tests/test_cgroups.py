@@ -197,6 +197,18 @@ def test_root_with_earlier_duplicate_emits_nothing():
     }
 
 
+def test_root_whose_only_tie_is_an_earlier_duplicate_emits_nothing():
+    """Seed 2 ties nothing after it and duplicates seed 0: no numpy path.
+
+    Seed 1 ties no seed at all, so it is a singleton on the full space.
+    """
+    full = 0b11
+    ds = Dataset.from_rows([[1, 2], [0, 5], [1, 2]])
+    got = enumerate_maximal_cgroups(PairwiseMatrices(ds, [0, 1, 2]))
+    assert got == [((0, 2), full), ((1,), full)]
+    assert set(got) == brute_maximal_cgroups(ds)
+
+
 @settings(max_examples=40, deadline=None)
 @given(tiny_int_datasets(max_objects=8, max_dims=4, max_value=2))
 def test_order_is_deterministic(ds: Dataset):

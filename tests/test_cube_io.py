@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.baselines.naive_cube import naive_compressed_cube
+from repro.baselines.skyey import skyey
+from repro.core.lattice import seed_groups_as_skyline_groups
 from repro.core.stellar import stellar
 from repro.cube import CompressedSkylineCube, load_cube, save_cube
 from repro.cube.io import BINARY_FORMAT, dataset_fingerprint
@@ -18,6 +21,27 @@ class TestRoundTrip:
         assert [(g.key, g.decisive, g.projection) for g in loaded.groups] == [
             (g.key, g.decisive, g.projection) for g in cube.groups
         ]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda ds: stellar(ds).groups,
+            lambda ds: skyey(ds).groups,
+            naive_compressed_cube,
+            lambda ds: seed_groups_as_skyline_groups(ds, stellar(ds)),
+        ],
+        ids=["stellar", "skyey", "naive", "seed-lattice"],
+    )
+    def test_built_projections_equal_reloaded(self, tmp_path, flight_routes, build):
+        """Every builder's projections are Python floats, as reloaded."""
+        cube = CompressedSkylineCube(flight_routes, build(flight_routes))
+        save_cube(cube, tmp_path / "cube.bin")
+        loaded = load_cube(tmp_path / "cube.bin", flight_routes)
+        assert [(g.key, g.decisive, g.projection) for g in loaded.groups] == [
+            (g.key, g.decisive, g.projection) for g in cube.groups
+        ]
+        for group in cube.groups:
+            assert all(type(v) is float for v in group.projection)
 
     def test_loaded_cube_answers_queries(self, tmp_path, flight_routes):
         cube = CompressedSkylineCube.build(flight_routes)

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.naive_cube import naive_compressed_cube
 from repro.core import dominance, extension
 from repro.core.extension import closed_masks, share_and_beat_masks
 from repro.core.stellar import stellar
 from repro.core.types import Dataset
+from repro.cube import CompressedSkylineCube
+from repro.cube.io import cube_fingerprint
+from repro.skyline import compute_skyline
 
 
 class TestClosedMasks:
@@ -161,12 +165,17 @@ def _share_map_inputs(draw):
     d = draw(st.integers(1, 5))
     m = draw(st.integers(0, 40))
     n_groups = draw(st.integers(1, 8))
-    kind = draw(st.sampled_from(["ties", "tie_free"]))
+    kind = draw(st.sampled_from(["ties", "tie_free", "signed_zeros"]))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     if kind == "ties":
         ns_matrix = rng.integers(0, 3, size=(m, d)).astype(float)
         reps = rng.integers(0, 3, size=(n_groups, d)).astype(float)
+    elif kind == "signed_zeros":
+        # -0.0 equals 0.0: both must land in the same hash bucket.
+        pool = np.array([-0.0, 0.0, 1.0])
+        ns_matrix = rng.choice(pool, size=(m, d))
+        reps = rng.choice(pool, size=(n_groups, d))
     else:
         # Every value distinct within a column, so a rep equals at most one
         # non-seed per dimension (the reps are drawn from the same pool).
@@ -198,6 +207,18 @@ class TestShareMapJoin:
         assert got == expected
         assert [list(g.items()) for g in got] == [list(e.items()) for e in expected]
 
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=_share_map_inputs())
+    def test_matches_dense_reference_when_every_value_collides(self, inputs):
+        """A 2-bucket semi-join table keeps untied rows; the join drops them."""
+        reps, subspaces, ns_matrix, ns_ids = inputs
+        pow2 = (1 << np.arange(ns_matrix.shape[1], dtype=np.int64)).astype(np.int64)
+        expected = _dense_share_maps(reps, subspaces, ns_matrix, ns_ids, pow2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extension, "_HASH_BITS", 1)
+            got = extension._share_maps_block(reps, subspaces, ns_matrix, ns_ids, pow2)
+        assert [list(g.items()) for g in got] == [list(e.items()) for e in expected]
+
     def test_empty_nonseed_set(self):
         pow2 = (1 << np.arange(3, dtype=np.int64)).astype(np.int64)
         got = extension._share_maps_block(
@@ -223,3 +244,45 @@ class TestShareMapJoin:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dominance, "_PAIR_BUDGET", 1)
             assert stellar(ds).groups == expected
+
+
+@st.composite
+def _tie_heavy_with_copies(draw):
+    """Values 0–2 or 0–3 on 2–6 dimensions, plus exact copies of rows.
+
+    Some copies repeat seeds (duplicate seeds, a root whose only tie may be
+    an earlier copy); others repeat arbitrary rows, so non-seeds coincide
+    with seed groups on every dimension of a subspace (full joiners) or on
+    part of it (child groups), and many seed groups stay untouched.
+    """
+    d = draw(st.integers(2, 6))
+    top = draw(st.sampled_from([2, 3]))
+    row = st.lists(st.integers(0, top), min_size=d, max_size=d)
+    rows = draw(st.lists(row, min_size=1, max_size=14))
+    seeds = compute_skyline(Dataset.from_rows(rows), None)
+    picks = draw(st.lists(st.integers(0, 100), max_size=4))
+    rows += [rows[seeds[p % len(seeds)]] for p in picks]
+    picks = draw(st.lists(st.integers(0, 100), max_size=4))
+    rows += [rows[p % len(rows)] for p in picks]
+    return Dataset.from_rows(rows)
+
+
+class TestShortcutsAgainstOracle:
+    """Untouched groups, skipped Berge steps and tie-free c-group roots."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tie_heavy_with_copies())
+    def test_fingerprint_equals_the_naive_cube(self, ds):
+        got = CompressedSkylineCube(ds, stellar(ds).groups)
+        expected = CompressedSkylineCube(ds, naive_compressed_cube(ds))
+        assert cube_fingerprint(got) == cube_fingerprint(expected)
+
+    def test_untouched_group_is_emitted_as_it_stands(self):
+        """No non-seed ties seed (0, 3): its group keeps the seed-side decisive."""
+        ds = Dataset(values=np.array([[0.0, 3.0], [3.0, 0.0], [4.0, 4.0], [3.0, 5.0]]))
+        result = stellar(ds)
+        seed_group = next(sg for sg in result.seed_groups if sg.members == (0,))
+        group = next(g for g in result.groups if g.key == ((0,), 0b11))
+        assert group.decisive == seed_group.decisive
+        assert group.projection == (0.0, 3.0)
+        assert all(type(v) is float for v in group.projection)

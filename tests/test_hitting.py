@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bitset import is_subset, iter_nonempty_subsets, popcount
+from repro.core.bitset import (
+    is_subset,
+    iter_bits,
+    iter_nonempty_subsets,
+    minimal_masks,
+    popcount,
+)
 from repro.core.hitting import (
     HittingSetOverflow,
     hits_all,
@@ -143,3 +149,42 @@ class TestExtendingTransversals:
     def test_empty_extension_returns_the_start(self):
         start = minimal_hitting_sets([0b0011, 0b1100])
         assert minimal_hitting_sets([], start=start) == start
+
+
+def antichain_pass_hitting_sets(clauses: list[int], start=(0,)) -> list[int]:
+    """Reference Berge expansion: a full antichain pass after every step."""
+    candidates = list(start)
+    for clause in minimal_clauses(clauses):
+        surviving = [t for t in candidates if t & clause]
+        missing = [t for t in candidates if not t & clause]
+        forked = [t | (1 << d) for t in missing for d in iter_bits(clause)]
+        candidates = minimal_masks(surviving + forked) if forked else surviving
+    return sorted(candidates, key=lambda m: (popcount(m), m))
+
+
+#: Non-empty clauses over a 12-dimension universe.
+_WIDE_CLAUSES = st.lists(st.integers(min_value=1, max_value=4095), max_size=10)
+
+
+class TestBitIndexedForkCheck:
+    """Checking a fork only against the survivors holding its new bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_WIDE_CLAUSES)
+    def test_equals_the_full_antichain_pass(self, clauses):
+        assert minimal_hitting_sets(clauses) == antichain_pass_hitting_sets(clauses)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_WIDE_CLAUSES, _WIDE_CLAUSES)
+    def test_equals_the_full_antichain_pass_from_a_start(self, family, added):
+        start = antichain_pass_hitting_sets(family)
+        expected = antichain_pass_hitting_sets(added, start=start)
+        assert minimal_hitting_sets(added, start=start) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(_CLAUSES, _CLAUSES)
+    def test_clauses_every_transversal_hits_change_nothing(self, family, added):
+        """A clause every minimal transversal hits leaves ``Tr`` unchanged."""
+        start = minimal_hitting_sets(family)
+        hit = [c for c in added if all(t & c for t in start)]
+        assert minimal_hitting_sets(hit, start=start) == start
