@@ -7,10 +7,11 @@ Usage::
 Prints one ``name  cube_fingerprint`` line per input: the four benchmark
 workload bases, tie-heavy inputs on an 8-step grid, exact duplicates,
 inputs whose masks sit above bit 62, both sides of the 16-dimension route
-cut-over, and signed zeros.  A change that must not move any answer
-leaves every line as it was, so the output of two commits can be diffed
-(``PYTHONPATH=<other checkout>/src`` runs this script against another
-commit's library).
+cut-over, enough seeds on enough dimensions that rank codes and packed
+cells are both 16-bit, and signed zeros.  A change that must not move any
+answer leaves every line as it was, so the output of two commits can be
+diffed (``PYTHONPATH=<other checkout>/src`` runs this script against
+another commit's library).
 
 ``--check`` also builds the brute-force cube of every input marked small
 and compares its groups (members, maximal and decisive subspaces and
@@ -97,6 +98,7 @@ INPUTS: dict[str, tuple[Callable[[], Dataset], bool]] = {
     "independent 120x17": (lambda: _grid("independent", 120, 17, 6), False),
     "anti 120x16": (lambda: _grid("anticorrelated", 120, 16, 6), False),
     "anti 120x17": (lambda: _grid("anticorrelated", 120, 17, 6), False),
+    "anti 1500x10": (lambda: _base("anticorrelated", 1_500, 10), False),
     "anti 6000x4": (lambda: _base("anticorrelated", 6_000, 4), False),
     "correlated 6000x6": (lambda: _base("correlated", 6_000, 6), False),
     "signed zeros 300x3": (lambda: _signed_zeros(300, 3), True),

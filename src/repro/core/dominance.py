@@ -19,6 +19,16 @@ The coincidence matrix is almost all zeros on real data, so it is never
 read by rows: :func:`tie_pairs` is an equality join that finds the pairs
 tying on some dimension from each column's sorted tie runs, and
 :meth:`PairwiseMatrices.coincidences` packs only those non-zero cells.
+
+Both matrices are read off per-dimension rank codes, not the values: a
+seed's code on a dimension is the number of seeds strictly below it
+there.  The codes are exact.  ``a < b`` holds iff fewer seeds lie below
+``a`` than below ``b``, and ``a = b`` iff the counts are equal, because the
+values of one column are totally ordered: a :class:`~repro.core.types.Dataset`
+holds no NaN or infinity, and ``-0.0 == 0.0`` gives both zeros one code.
+So every cell is the cell the float comparison gives.  Codes fit the
+smallest unsigned dtype holding ``k − 1``, and comparing them costs a
+fraction of comparing float64 values.
 """
 
 from __future__ import annotations
@@ -214,6 +224,24 @@ def tie_pairs(
         start = stop
 
 
+def _rank_codes(matrix: np.ndarray) -> np.ndarray:
+    """Per-dimension rank codes of ``matrix``'s rows, dimension-major.
+
+    ``codes[k, i]`` is the number of rows strictly below row ``i`` on
+    dimension ``k``, in the smallest unsigned dtype holding ``n − 1``.
+    Two rows' codes compare as their values do, ``<`` and ``=`` alike
+    (module docstring).  Each column is sorted once, and the sorted column
+    searched for its own values, so the binary searches walk in order.
+    """
+    n, d = matrix.shape
+    codes = np.empty((d, n), dtype=np.min_scalar_type(max(n - 1, 0)))
+    for k in range(d):
+        order = np.argsort(matrix[:, k])
+        column = matrix[order, k]
+        codes[k, order] = np.searchsorted(column, column)
+    return codes
+
+
 class PairwiseMatrices:
     """Lazy dominance/coincidence matrices over a subset of objects.
 
@@ -225,17 +253,18 @@ class PairwiseMatrices:
         Global object indices the matrices range over (the seeds ``F(S)`` in
         Stellar).  Cells are addressed by *local* position within ``indices``.
 
-    A dominance row ``dom[i, *]`` is a single ``(k, d)`` numpy comparison
-    packed into ``k`` bitmask integers; rows are not cached, callers keep
-    the row they scan.  The coincidence matrix is read only through its
-    non-zero cells (:meth:`coincidences`).
+    The seeds' values are held only as rank codes (:func:`_rank_codes`),
+    built once.  A dominance row ``dom[i, *]`` compares them on every
+    dimension and packs the flags into ``k`` bitmask integers; rows are not
+    cached, callers keep the row they scan.  The coincidence matrix is read
+    only through its non-zero cells (:meth:`coincidences`), whose equality
+    join runs over the same codes.
     """
 
     def __init__(self, dataset: Dataset, indices: Sequence[int]):
         self.dataset = dataset
         self.indices: tuple[int, ...] = tuple(int(i) for i in indices)
-        self._sub = dataset.minimized[list(self.indices), :]
-        self._columns = np.ascontiguousarray(self._sub.T)
+        self._codes = _rank_codes(dataset.minimized[list(self.indices), :])
         self._full = full_mask(dataset.n_dims)
         self._weights = bit_weights(dataset.n_dims)
 
@@ -250,22 +279,30 @@ class PairwiseMatrices:
     def dom_row_array(self, i: int) -> np.ndarray:
         """Row ``dom[i, *]`` as a packed numpy vector (local index ``i``)."""
         COMPARISONS.add(len(self.indices))
-        return pack_rows(self._sub[i] < self._sub, self._weights)
+        codes = self._codes
+        return pack_rows((codes[:, i, None] < codes).T, self._weights)
 
     def dom_rows_array(self, rows: np.ndarray) -> np.ndarray:
         """Rows ``dom[i, *]`` for each local index in ``rows``, stacked.
 
-        One vectorised comparison per dimension over the whole block, packed
-        into the smallest unsigned dtype holding ``d`` bits (up to 64
-        dimensions), so a block of rows costs no per-row float product.
+        Packed into the smallest unsigned dtype holding ``d`` bits (up to 64
+        dimensions).  The dimensions run from high to low: each one compares
+        the block's rank codes with every seed's into one reused bool
+        buffer, then doubles the packed array in place and ORs the flags
+        in, so a block allocates nothing per dimension.
         """
         COMPARISONS.add(len(rows) * len(self.indices))
-        dtype = np.min_scalar_type(self._full)
-        block = self._sub[rows]
-        packed = np.zeros((len(rows), len(self.indices)), dtype=dtype)
-        for k in range(self.dataset.n_dims):
-            flags = block[:, k, None] < self._columns[k]
-            packed |= flags.astype(dtype) << dtype.type(k)
+        packed = np.zeros(
+            (len(rows), len(self.indices)), dtype=np.min_scalar_type(self._full)
+        )
+        flags = np.empty(packed.shape, dtype=bool)
+        # The same bytes as 0/1 integers: OR-ing them in needs no bool cast.
+        bits = flags.view(np.uint8)
+        block = self._codes[:, rows]
+        for k in range(self.dataset.n_dims - 1, -1, -1):
+            np.less(block[k, :, None], self._codes[k], out=flags)
+            np.add(packed, packed, out=packed)
+            np.bitwise_or(packed, bits, out=packed)
         return packed
 
     def dom_row(self, i: int) -> list[int]:
@@ -291,9 +328,9 @@ class PairwiseMatrices:
         and the packed cell of each.  A zero cell never appears, and each
         pair counts as one comparison.
         """
-        sub = self._sub
-        for start, stop, u, o in tie_pairs(sub, sub):
+        table = self._codes.T
+        for start, stop, u, o in tie_pairs(table, table):
             off_diagonal = u != o
             u, o = u[off_diagonal], o[off_diagonal]
             COMPARISONS.add(len(u))
-            yield start, stop, u, o, pack_rows(sub[u] == sub[o], self._weights)
+            yield start, stop, u, o, pack_rows(table[u] == table[o], self._weights)

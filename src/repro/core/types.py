@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from operator import lt
 
 import numpy as np
 
@@ -264,7 +265,8 @@ class SkylineGroup:
     projection: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.members:
+        members, decisive = self.members, self.decisive
+        if not members:
             raise ValueError("a skyline group must contain at least one object")
         if self.subspace == 0:
             raise ValueError("a skyline group's maximal subspace is non-empty")
@@ -272,8 +274,14 @@ class SkylineGroup:
             raise ValueError(
                 "projection length must equal the subspace dimensionality"
             )
-        object.__setattr__(self, "members", frozenset(self.members))
-        object.__setattr__(self, "decisive", tuple(sorted(set(self.decisive))))
+        # Fields already in canonical form (as Stellar builds them) are kept
+        # as passed: rebuilding them costs more than the rest of the checks.
+        if type(members) is not frozenset:
+            object.__setattr__(self, "members", frozenset(members))
+        if type(decisive) is not tuple or not (
+            len(decisive) < 2 or all(map(lt, decisive, decisive[1:]))
+        ):
+            object.__setattr__(self, "decisive", tuple(sorted(set(decisive))))
 
     @property
     def key(self) -> tuple[tuple[int, ...], int]:

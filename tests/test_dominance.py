@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import dominance
 from repro.core.dominance import (
@@ -221,6 +222,62 @@ class TestDominanceRowBlocks:
         assert block.dtype == dtype
         assert block.tolist() == [matrices.dom_row(int(i)) for i in roots]
         assert block[1, 1] == (1 << d) - 1
+
+
+@st.composite
+def _tie_heavy_signed(draw) -> tuple[Dataset, list[int]]:
+    """Tie-heavy rows with exact duplicates and both signed zeros, some
+    dimensions maximised, and a subset of them as the seeds."""
+    d = draw(st.sampled_from([1, 8, 9, 16]))
+    value = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
+    rows = draw(
+        st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=10)
+    )
+    position = st.integers(0, len(rows) - 1)
+    rows += [rows[i] for i in draw(st.lists(position, max_size=4))]
+    directions = draw(
+        st.lists(st.sampled_from(["min", "max"]), min_size=d, max_size=d)
+    )
+    indices = draw(st.lists(position, min_size=1, max_size=len(rows), unique=True))
+    return Dataset(values=np.array(rows), directions=directions), indices
+
+
+class TestRankCodes:
+    """Rows and coincidences read off the seeds' rank codes equal the cells
+    the value comparisons give, with ties, duplicates and signed zeros, and
+    once the codes need 16 or 32 bits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_tie_heavy_signed())
+    def test_cells_equal_bruteforce(self, case):
+        ds, indices = case
+        k = len(indices)
+        matrices = PairwiseMatrices(ds, indices)
+        m = ds.minimized[indices]
+        dom = [[strictly_less_mask(m, i, j) for j in range(k)] for i in range(k)]
+        assert matrices.dom_rows_array(np.arange(k)).tolist() == dom
+        assert [matrices.dom_row_array(i).tolist() for i in range(k)] == dom
+        assert _coincidence_cells(matrices) == _nonzero_equal_cells(m, k)
+
+    @pytest.mark.parametrize(
+        "n, dtype", [(256, np.uint8), (257, np.uint16), (65_537, np.uint32)]
+    )
+    def test_code_dtype_holds_every_rank(self, n, dtype):
+        # Dimension 0 is distinct, so the last row's code is n - 1 and a
+        # narrower dtype would wrap it onto row 0's.  Dimension 1 runs the
+        # other way, with the two last rows tied.
+        values = np.column_stack([np.arange(n), -np.arange(n)]).astype(float)
+        values[-1, 1] = values[-2, 1]
+        ds = Dataset(values=values)
+        matrices = PairwiseMatrices(ds, range(n))
+        assert matrices._codes.dtype == dtype
+        roots = np.array([0, 1, n - 2, n - 1])
+        m = ds.minimized
+        expected = [((m[r] < m) @ np.array([1, 2])).tolist() for r in roots]
+        assert matrices.dom_rows_array(roots).tolist() == expected
+        assert [matrices.dom_row_array(r).tolist() for r in roots] == expected
+        tied = {(n - 2, n - 1): 0b10, (n - 1, n - 2): 0b10}
+        assert _coincidence_cells(matrices) == tied
 
 
 class TestHighDimensional:

@@ -161,6 +161,15 @@ class TestSkylineGroup:
         g = SkylineGroup(frozenset([0]), 0b11, (2, 1, 2), (1.0, 2.0))
         assert g.decisive == (1, 2)
 
+    @pytest.mark.parametrize(
+        "decisive",
+        [(1, 1, 2), (2, 1), [1, 2], (1, 2, 2), (1, 2)],
+    )
+    def test_decisive_canonical_whatever_is_passed(self, decisive):
+        g = SkylineGroup([0, 0], 0b11, decisive, (1.0, 2.0))
+        assert g.decisive == (1, 2)
+        assert type(g.members) is frozenset and g.members == {0}
+
     def test_key(self):
         g = SkylineGroup(frozenset([3, 1]), 0b1, (1,), (5.0,))
         assert g.key == ((1, 3), 0b1)
